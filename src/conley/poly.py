@@ -185,21 +185,13 @@ def poly_mul(p, q):
     return as_poly(p) * as_poly(q)
 
 
-def _qtrim(cs):
-    n = len(cs)
-    while n and cs[n - 1] == 0:
-        n -= 1
-    del cs[n:]
-    return cs
-
-
 def _qdivmod(num, den):
     """Quotient and remainder over the rationals, as Fraction lists."""
     rem = [Fraction(c) for c in num]
     db = len(den) - 1
     lead = Fraction(den[-1])
     if len(rem) < len(den):
-        return [], _qtrim(rem)
+        return [], _trim(rem)
     quot = [Fraction(0)] * (len(rem) - db)
     for k in range(len(rem) - 1, db - 1, -1):
         c = rem[k] / lead
@@ -208,7 +200,7 @@ def _qdivmod(num, den):
             for j in range(db + 1):
                 rem[k - db + j] -= c * den[j]
         rem[k] = Fraction(0)
-    return _qtrim(quot), _qtrim(rem)
+    return _trim(quot), _trim(rem)
 
 
 def poly_divmod(p, q):
@@ -249,7 +241,7 @@ def _qmod(a, b):
             for j in range(db):
                 a[k - db + j] -= c * b[j]
             a[k] = Fraction(0)
-    return _qtrim(a)
+    return _trim(a)
 
 
 def _fractions_to_primitive(cs):
@@ -389,30 +381,3 @@ def ratfunc_mul(f, g):
 
 def ratfunc_inv(f):
     return f.inverse()
-
-
-# Tuple-based helpers for hot loops that would otherwise allocate one
-# IntPolynomial per intermediate (polynomial-matrix determinants).
-
-def tpoly_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return tuple(_trim(out))
-
-
-def tpoly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return tuple(_trim(out))
-
-
-def tpoly_neg(a):
-    return tuple(-c for c in a)

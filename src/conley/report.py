@@ -45,15 +45,6 @@ def encode_ratfunc(f):
             "display": str(f)}
 
 
-def matrix_lines(m):
-    if m.rows == 0 or m.cols == 0:
-        return [f"[] ({m.rows}x{m.cols})"]
-    cells = [[fraction_str(x) for x in m.row_list(i)] for i in range(m.rows)]
-    width = max(len(s) for row in cells for s in row)
-    return ["[" + " ".join(f"{s:>{width}}" for s in row) + "]"
-            for row in cells]
-
-
 def _set_header(basic):
     return {"name": basic.name, "index": basic.index_u,
             "matrix": encode_matrix(basic.structure.matrix),

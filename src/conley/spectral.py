@@ -2,24 +2,26 @@
 conjugacy invariants of rational matrices.
 
 Similarity over the rationals is certified by invariant factors (the
-diagonal of the Smith normal form of tI - A over Q[t], obtained here from
-determinantal-divisor gcds).  Block structure per irreducible factor of
-the characteristic polynomial is recovered from the rank sequence of
-powers, which is a complete description without ever leaving exact
-arithmetic.
+diagonal of the Smith normal form of tI - A over Q[t]), obtained from a
+cyclic decomposition: the minimal polynomial is the annihilator of a
+suitable vector, and the rest comes from the map induced on the quotient
+by that vector's cyclic subspace.  The block structure per irreducible
+factor of the characteristic polynomial is read off the same invariant
+factors, so the index and the block profile share one computation and
+never leave exact arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import count
 from math import isqrt, lcm
 
 from .errors import DomainError, InvariantError
 from .linalg import (RationalMatrix, Subspace, column_space, kernel_basis,
                      solve_columns)
-from .poly import (ONE, T, IntPolynomial, exact_div, poly_gcd,
-                   squarefree_decomposition, tpoly_add, tpoly_mul, tpoly_neg)
+from .poly import (T, IntPolynomial, exact_div, poly_gcd,
+                   squarefree_decomposition)
 
 KIND_RATIONAL = "rational_eigenvalue"
 KIND_COMPLEX = "complex_pair"
@@ -90,66 +92,65 @@ def nonnilpotent_part(a):
 
 
 # ---------------------------------------------------------------------------
-# invariant factors via determinantal divisors of tI - A
+# invariant factors via a cyclic decomposition
 
-def _char_matrix_entries(n, int_rows):
-    """Entries of tI - N as ascending coefficient tuples."""
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = -int_rows[i][j]
-            if i == j:
-                row.append((v, 1))
-            else:
-                row.append((v,) if v else ())
-        entries.append(row)
-    return entries
+def _annihilator(m, v):
+    """The annihilator p of v under m (the monic p of least degree with
+    p(m) v = 0), scaled to be primitive with positive leading coefficient,
+    and the vectors (D m)^k v, k < deg p, which span the cyclic subspace
+    of v; v is an integer list and D the common denominator of m.
 
-
-def _minor_det(entries, row_idx, col_idx):
-    """Determinant of a square polynomial submatrix by first-row expansion
-    with memoisation over column subsets."""
-    k = len(row_idx)
-    if k == 0:
-        return (1,)
-    memo = {}
-
-    def rec(r, mask):
-        if r == k:
-            return (1,)
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        total = ()
-        sign = 1
-        row = entries[row_idx[r]]
-        remaining = mask
-        while remaining:
-            low = remaining & (-remaining)
-            j = low.bit_length() - 1
-            entry = row[col_idx[j]]
-            if entry:
-                sub = rec(r + 1, mask ^ low)
-                if sub:
-                    term = tpoly_mul(entry, sub)
-                    if sign < 0:
-                        term = tpoly_neg(term)
-                    total = tpoly_add(total, term)
-            sign = -sign
-            remaining ^= low
-        memo[mask] = total
-        return total
-
-    return rec(0, (1 << k) - 1)
+    The integer matrix D m keeps the chain integral; a dependency c_k
+    among the (D m)^k v is the dependency c_k D^k among the m^k v.
+    """
+    rows = m.tolist()
+    denom = lcm(*(x.denominator for row in rows for x in row))
+    rows = [[x.numerator * (denom // x.denominator) for x in row]
+            for row in rows]
+    chain = [v]
+    for _ in range(m.rows):
+        w = chain[-1]
+        chain.append([sum(x * y for x, y in zip(row, w)) for row in rows])
+    d = RationalMatrix.from_rows(chain).rank()
+    dependency = kernel_basis(RationalMatrix.from_rows(chain[:d + 1])
+                              .transpose()).basis
+    coeffs = [c * denom ** k
+              for k, c in enumerate(dependency.column_list(0))]
+    scale = lcm(*(c.denominator for c in coeffs))
+    p = IntPolynomial([int(c * scale) for c in coeffs]).normalized()
+    return p, chain[:d]
 
 
-def _substitute_scaled(p, d):
-    """primitive part of p(d*t), positive leading coefficient."""
-    if d == 1:
-        return p
-    return IntPolynomial([c * d ** i
-                          for i, c in enumerate(p.coeffs)]).normalized()
+def _split_cyclic(m):
+    """(minimal polynomial of m, map induced on the quotient by a cyclic
+    subspace whose annihilator is that polynomial).
+
+    Such a subspace has an m-invariant complement, so the quotient map
+    carries exactly the remaining invariant factors.  Any n of the trial
+    vectors (1, x, x^2, ...) for x = 1, 2, ... are independent
+    (Vandermonde), so fewer than n of them lie in each of the finitely
+    many proper subspaces where the annihilator is a proper divisor of the
+    minimal polynomial, and the search ends.
+    """
+    n = m.rows
+    for x in count(1):
+        p, chain = _annihilator(m, [x ** i for i in range(n)])
+        d = p.degree
+        if d == n:
+            return p, RationalMatrix.zeros(0, 0)
+        # Unit vectors off the pivot rows of the cyclic subspace complete
+        # its basis; p(m) = 0 once p also kills them.
+        basis = column_space(RationalMatrix.from_rows(chain).transpose()).basis
+        pivots = {next(i for i in range(n) if basis[i, j] != 0)
+                  for j in range(d)}
+        rest = [i for i in range(n) if i not in pivots]
+        units = RationalMatrix.identity(n).take_columns(rest)
+        zero = value = RationalMatrix.zeros(n, len(rest))
+        for c in reversed(p.coeffs):
+            value = m * value + c * units
+        if value == zero:
+            coords = solve_columns(basis.augment(units), m * units)
+            return p, RationalMatrix.from_rows(coords.tolist()[d:])
 
 
 def invariant_factors(a):
@@ -160,42 +161,11 @@ def invariant_factors(a):
     Returned primitive and integral (monic for integer input).
     """
     a._require_square("invariant factors")
-    n = a.rows
-    if n == 0:
-        return []
-    denom = 1
-    for x in a._e:
-        denom = lcm(denom, x.denominator)
-    int_rows = [[int(x * denom) for x in a.row_list(i)] for i in range(n)]
-    entries = _char_matrix_entries(n, int_rows)
-
-    divisors = [ONE] + [None] * n
-    all_idx = tuple(range(n))
-    divisors[n] = IntPolynomial(_minor_det(entries, all_idx, all_idx))
-    for k in range(n - 1, 0, -1):
-        g = IntPolynomial(())
-        for rows_sel in combinations(range(n), k):
-            for cols_sel in combinations(range(n), k):
-                minor = _minor_det(entries, rows_sel, cols_sel)
-                if minor:
-                    g = poly_gcd(g, IntPolynomial(minor))
-                    if g.degree == 0:
-                        break
-            if not g.is_zero and g.degree == 0:
-                break
-        if g.is_zero:
-            raise InvariantError("tI - A lost full rank")
-        divisors[k] = g
-        if g.degree == 0:
-            for j in range(1, k):
-                divisors[j] = ONE
-            break
-
     factors = []
-    for k in range(1, n + 1):
-        f = exact_div(divisors[k], divisors[k - 1])
-        if f.degree > 0:
-            factors.append(_substitute_scaled(f, denom))
+    while a.rows:
+        p, a = _split_cyclic(a)
+        factors.append(p)
+    factors.reverse()
     return factors
 
 
@@ -297,50 +267,6 @@ def _split_squarefree(part):
     return out
 
 
-def _matrix_poly(p, a):
-    n = a.rows
-    out = RationalMatrix.zeros(n, n)
-    ident = RationalMatrix.identity(n)
-    for c in reversed(p.coeffs):
-        out = out * a + c * ident
-    return out
-
-
-def _block_sizes_from_ranks(a, factor, mult):
-    """Recover the block size multiset of one factor from the rank
-    sequence r_k = rank(factor(a)^k): the number of blocks of size >= k is
-    (r_{k-1} - r_k) / deg(factor)."""
-    deg = factor.degree
-    base = _matrix_poly(factor, a)
-    ranks = [a.rows]
-    power = base
-    while True:
-        r = power.rank()
-        if r == ranks[-1]:
-            break
-        ranks.append(r)
-        if len(ranks) > a.rows + 1:
-            raise InvariantError("rank sequence failed to stabilise")
-        power = power * base
-    at_least = []
-    for k in range(1, len(ranks)):
-        diff = ranks[k - 1] - ranks[k]
-        if diff % deg:
-            raise InvariantError(
-                "rank drops are not a multiple of the factor degree; the "
-                "residual factor mixes irreducible factors of unequal "
-                "block structure, which this tool does not resolve")
-        at_least.append(diff // deg)
-    sizes = []
-    for k in range(len(at_least), 0, -1):
-        exactly = at_least[k - 1] - (at_least[k] if k < len(at_least) else 0)
-        sizes.extend([k] * exactly)
-    sizes.sort(reverse=True)
-    if sum(sizes) != mult:
-        raise InvariantError("block sizes do not sum to the multiplicity")
-    return tuple(sizes)
-
-
 def _class_sort_key(entry):
     f = entry.factor
     if f.degree == 1:
@@ -348,14 +274,43 @@ def _class_sort_key(entry):
     return (f.degree, f.coeffs)
 
 
+def _uniform_pieces(factors):
+    """Split the squarefree part of the largest invariant factor into
+    pieces whose irreducible factors share one exponent vector across all
+    the invariant factors; yields (piece, block sizes).
+
+    An irreducible factor q with exponent e in an invariant factor is an
+    elementary divisor q^e, i.e. one block of size e, so a piece with a
+    uniform exponent vector has one block multiset for all its factors.
+    """
+    pieces = [(part, (e,))
+              for part, e in squarefree_decomposition(factors[-1])]
+    for f in factors[:-1]:
+        parts = squarefree_decomposition(f)
+        refined = []
+        for piece, exponents in pieces:
+            for part, e in parts:
+                g = poly_gcd(piece, part)
+                if g.degree > 0:
+                    refined.append((g, exponents + (e,)))
+                    piece = exact_div(piece, g)
+            if piece.degree > 0:
+                refined.append((piece, exponents))
+        pieces = refined
+    for piece, exponents in pieces:
+        yield piece, tuple(sorted(exponents, reverse=True))
+
+
 def jordan_profile(a):
     """Block profile of an integer square matrix over Q-irreducible
     factors of its characteristic polynomial.
 
-    Factors are obtained from squarefree decomposition, integer-root
+    The block sizes are read off the invariant factors.  Factors are
+    obtained from coprime splitting of their squarefree parts, integer-root
     extraction and a quadratic discriminant test; residual factors of
-    degree >= 3 (and irrational real quadratics) are reported whole as
-    KIND_UNRESOLVED, with exact block data.
+    degree >= 3 (and irrational real quadratics) are reported as
+    KIND_UNRESOLVED, with exact block data, one entry per product of
+    irreducible factors that share a block structure.
     """
     a._require_square("jordan profile")
     if not a.is_integer:
@@ -363,17 +318,12 @@ def jordan_profile(a):
     n = a.rows
     if n == 0:
         return JordanProfile(0, ())
-    char = IntPolynomial(a.charpoly())
     entries = []
-    for part, mult in squarefree_decomposition(char):
-        for factor, kind in _split_squarefree(part):
-            if mult == 1:
-                sizes = (1,)
-            else:
-                sizes = _block_sizes_from_ranks(a, factor, mult)
+    for piece, sizes in _uniform_pieces(invariant_factors(a)):
+        for factor, kind in _split_squarefree(piece):
             entries.append(EigenClass(
                 factor=factor, kind=kind, block_sizes=sizes,
-                algebraic_multiplicity=mult,
+                algebraic_multiplicity=sum(sizes),
                 geometric_multiplicity=len(sizes)))
     entries.sort(key=_class_sort_key)
     profile = JordanProfile(n, tuple(entries))

@@ -117,10 +117,14 @@ def _parse_ambient(obj, path):
     if not isinstance(raw_maps, dict):
         raise ValidationError("expected an object keyed by degree", mpath)
     for key, value in raw_maps.items():
-        if not key.isdigit():
+        if not (key.isascii() and key.isdigit()):
             raise ValidationError(f"degree key {key!r} is not a "
                                   "nonnegative integer", f"{mpath}/{key}")
-        degree = int(key)
+        try:
+            degree = int(key)
+        except ValueError as exc:
+            raise ValidationError("degree key has too many digits",
+                                  f"{mpath}/{key}") from exc
         if degree > dim:
             raise ValidationError(f"degree {degree} exceeds dim {dim}",
                                   f"{mpath}/{key}")
@@ -166,13 +170,25 @@ def system_from_dict(doc):
 
 
 def parse_system(path):
-    """Read and validate a system description file."""
+    """Read and validate a system description file.
+
+    Undecodable bytes, malformed JSON, integers past the interpreter's
+    digit limit and nesting past its recursion limit are all reported as
+    a ValidationError located at the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"not UTF-8 text: {exc}",
+                                  str(path)) from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"not valid JSON: {exc}", str(path)) from exc
+    except RecursionError as exc:
+        raise ValidationError("not valid JSON: nested too deeply",
+                              str(path)) from exc
     return system_from_dict(doc)
 
 

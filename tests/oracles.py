@@ -3,10 +3,13 @@
 Everything in here deliberately avoids the code paths it is used to check:
 determinants of polynomial matrices go through plain cofactor expansion
 (the library uses a trace recursion), ranks go through textbook Gaussian
-elimination over Fractions (the library uses fraction-free elimination).
+elimination over Fractions (the library uses fraction-free elimination),
+and invariant factors come from gcds of minors (the library uses a cyclic
+decomposition).
 """
 
 from fractions import Fraction
+from itertools import combinations
 import random
 
 from conley.linalg import RationalMatrix, inverse
@@ -123,11 +126,22 @@ def jordan_block(lam, size):
           for j in range(size)] for i in range(size)])
 
 
-def quadratic_companion_block(size):
-    """Block-Jordan matrix built on the companion matrix of t^2 - t + 1:
-    ``size`` copies of the companion on the diagonal, identity blocks on
-    the superdiagonal.  Real dimension 2 * size."""
-    comp = [[0, -1], [1, 1]]
+def companion(coeffs):
+    """Companion matrix of the monic polynomial with ascending integer
+    coefficients ``coeffs``."""
+    d = len(coeffs) - 1
+    return RationalMatrix.from_rows(
+        [[int(i == j + 1) - (coeffs[i] if j == d - 1 else 0)
+          for j in range(d)] for i in range(d)])
+
+
+def quadratic_companion_block(size, c0=1, c1=-1):
+    """Block-Jordan matrix built on the companion matrix of
+    t^2 + c1 t + c0 (default t^2 - t + 1): ``size`` copies of the
+    companion on the diagonal, identity blocks on the superdiagonal.  For
+    a squarefree quadratic this is the single elementary divisor
+    (t^2 + c1 t + c0)^size.  Real dimension 2 * size."""
+    comp = [[0, -c0], [1, -c1]]
     n = 2 * size
     rows = [[0] * n for _ in range(n)]
     for b in range(size):
@@ -152,6 +166,50 @@ def block_diag(blocks):
     return RationalMatrix.from_rows(rows)
 
 
+def _fdivmod(num, den):
+    """Quotient and remainder of ascending Fraction coefficient lists."""
+    num = list(num)
+    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = num[k + len(den) - 1] / den[-1]
+        quot[k] = c
+        for j, d in enumerate(den):
+            num[k + j] -= c * d
+    return _ptrim(quot), _ptrim(num)
+
+
+def _fgcd(a, b):
+    """Monic gcd of ascending Fraction coefficient lists (Euclid)."""
+    while b:
+        a, b = b, _fdivmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def invariant_factors_oracle(a):
+    """Invariant factors of a square rational matrix, smallest first, as
+    monic ascending Fraction lists: d_k / d_(k-1), where the determinantal
+    divisor d_k is the monic gcd of all k x k minors of tI - a, each by
+    cofactor expansion.  Exponential in n; meant for n <= 6."""
+    n = a.rows
+    char = [[_ptrim([Fraction(-a[i, j]), Fraction(int(i == j))])
+             for j in range(n)] for i in range(n)]
+    divisors = [[Fraction(1)]]
+    for k in range(1, n + 1):
+        g = []
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(n), k):
+                minor = det_poly([[char[i][j] for j in cols] for i in rows])
+                g = _fgcd(g, minor)
+        divisors.append(g)
+    factors = []
+    for k in range(1, n + 1):
+        quot, rem = _fdivmod(divisors[k], divisors[k - 1])
+        assert not rem
+        if len(quot) > 1:
+            factors.append(quot)
+    return factors
+
+
 def random_shift_graph(rng, max_vertices=4):
     n = rng.randint(1, max_vertices)
     adjacency = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
@@ -160,9 +218,10 @@ def random_shift_graph(rng, max_vertices=4):
 
 
 __all__ = [
-    "block_diag", "char_reversed_oracle", "conjugate", "det_poly",
-    "jordan_block", "quadratic_companion_block", "random_int_matrix",
-    "random_shift_graph", "random_unimodular", "rref_rank",
+    "block_diag", "char_reversed_oracle", "companion", "conjugate",
+    "det_poly", "invariant_factors_oracle", "jordan_block",
+    "quadratic_companion_block", "random_int_matrix", "random_shift_graph",
+    "random_unimodular", "rref_rank",
 ]
 
 

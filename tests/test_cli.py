@@ -6,6 +6,8 @@ import pytest
 
 from conley.cli import main
 
+from oracles import block_diag, companion, quadratic_companion_block
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -60,6 +62,30 @@ class TestJordanCommand:
         code, out, _ = run_cli(capsys, "jordan", fixture_path("torus.json"))
         assert code == 0
         assert "complex_pair" in out
+
+
+    @pytest.mark.parametrize("blocks, expected", [
+        ([quadratic_companion_block(2, -2, 0), companion([-3, 0, 1]),
+          companion([-3, 0, 1])],
+         {(-3, 0, 1): [1, 1], (-2, 0, 1): [2]}),
+        ([companion([-2, 0, 1])] * 4
+         + [quadratic_companion_block(2, -3, 0)] * 2,
+         {(-3, 0, 1): [2, 2], (-2, 0, 1): [1, 1, 1, 1]}),
+    ], ids=["n8", "n16"])
+    def test_mixed_residual_profile(self, capsys, tmp_path, blocks,
+                                    expected):
+        path = tmp_path / "mixed.json"
+        rows = block_diag(blocks).to_int_rows()
+        path.write_text(json.dumps({"basic_sets": [
+            {"name": "mixed", "index": 1, "matrix": rows}]}),
+            encoding="utf-8")
+        code, out, err = run_cli(capsys, "jordan", str(path),
+                                 "--format", "json")
+        assert code == 0, err
+        profile = json.loads(out)["basic_sets"][0]["jordan_profile"]
+        assert {tuple(e["factor"]): e["block_sizes"]
+                for e in profile} == expected
+        assert {e["kind"] for e in profile} == {"unresolved"}
 
 
 class TestZetaCommand:
@@ -133,6 +159,24 @@ class TestVerifyCommand:
         assert code == 0
 
 
+# Inputs that once escaped validation with a traceback, mapped to the
+# file content and the JSON pointer the error names (None: the file path).
+BAD_INPUTS = {
+    "superscript-key": (
+        '{"basic_sets": [], "ambient": {"dim": 2, '
+        '"homology_maps": {"\u00b2": [[1]]}}}', "/ambient/homology_maps/"),
+    "long-key": (
+        '{"basic_sets": [], "ambient": {"dim": 2, '
+        '"homology_maps": {"' + "9" * 5000 + '": [[1]]}}}',
+        "/ambient/homology_maps/"),
+    "long-entry": (
+        '{"basic_sets": [{"name": "s", "index": 0, '
+        '"matrix": [[' + "7" * 5000 + ']]}]}', None),
+    "not-utf8": (b'{"basic_sets": [\xff]}', None),
+    "deep-nesting": ("[" * 200_000, None),
+}
+
+
 class TestErrorHandling:
     def test_missing_file(self, capsys):
         code, out, err = run_cli(capsys, "index", "/no/such/file.json")
@@ -147,6 +191,20 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "index", str(path))
         assert code == 2
         assert "/basic_sets/0/matrix" in err
+
+    @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+    def test_bad_input_exits_two_with_location(self, capsys, tmp_path, name):
+        content, pointer = BAD_INPUTS[name]
+        path = tmp_path / f"{name}.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        code, out, err = run_cli(capsys, "index", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert (pointer or str(path)) in err
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conley.errors import DomainError, ShapeError
 from conley.linalg import (RationalMatrix, char_reversed,
@@ -12,7 +13,8 @@ from conley.spectral import (KIND_COMPLEX, KIND_RATIONAL, KIND_UNRESOLVED,
                              invariant_factors, is_similar, jordan_profile,
                              nonnilpotent_part)
 
-from oracles import (block_diag, conjugate, jordan_block,
+from oracles import (block_diag, companion, conjugate,
+                     invariant_factors_oracle, jordan_block,
                      quadratic_companion_block, random_int_matrix,
                      random_unimodular)
 
@@ -25,6 +27,20 @@ SHEAR = RationalMatrix.from_rows([[1, 1], [0, 1]])
 
 def P(*coeffs):
     return IntPolynomial(coeffs)
+
+
+def monic(factors):
+    return [[Fraction(c, f.leading) for c in f.coeffs] for f in factors]
+
+
+# A companion(t^2 - 2) block of size 2 beside two companion(t^2 - 3)
+# blocks, and four companion(t^2 - 2) blocks beside two blocks of size 2
+# for t^2 - 3: in both the squarefree residual (t^2 - 2)(t^2 - 3) mixes
+# two block structures.
+MIXED_8 = block_diag([quadratic_companion_block(2, -2, 0),
+                      companion([-3, 0, 1]), companion([-3, 0, 1])])
+MIXED_16 = block_diag([companion([-2, 0, 1])] * 4
+                      + [quadratic_companion_block(2, -3, 0)] * 2)
 
 
 class TestGeneralizedSpaces:
@@ -166,6 +182,38 @@ class TestInvariantFactors:
                 _, rem = poly_divmod(big, small)
                 assert rem.is_zero
 
+    def test_matches_determinantal_divisors(self):
+        rng = random.Random(139)
+        for trial in range(40):
+            a = random_int_matrix(rng, 6 if trial % 10 == 0 else
+                                  rng.randint(1, 5))
+            assert monic(invariant_factors(a)) == \
+                invariant_factors_oracle(a)
+
+    def test_nonnilpotent_part_matches_determinantal_divisors(self):
+        rng = random.Random(141)
+        for _ in range(30):
+            n = rng.randint(2, 6)
+            # entries in [-1, 1] make singular, non-nilpotent inputs common
+            plus = nonnilpotent_part(random_int_matrix(rng, n, -1, 1)).matrix
+            assert monic(invariant_factors(plus)) == \
+                invariant_factors_oracle(plus)
+
+    def test_derogatory_chains(self):
+        rng = random.Random(143)
+        for _ in range(20):
+            chain = [[rng.randint(-2, 2), 1]]
+            # stops at dimension 4 to 6, within the oracle's reach
+            while sum(len(f) - 1 for f in chain) < 4:
+                step = [rng.randint(-2, 2), 1] if rng.random() < 0.6 \
+                    else [1]
+                chain.append(list(poly_mul(P(*chain[-1]), P(*step)).coeffs))
+            base = block_diag([companion(f) for f in chain])
+            a = conjugate(random_unimodular(rng, base.rows), base)
+            got = invariant_factors(a)
+            assert got == [P(*f) for f in chain]
+            assert monic(got) == invariant_factors_oracle(a)
+
 
 class TestIsSimilar:
     def test_transpose_pair(self):
@@ -289,3 +337,52 @@ class TestJordanProfile:
                 for k in range(1, max_size + 2):
                     at_least_k = sum(1 for s in entry.block_sizes if s >= k)
                     assert ranks[k - 1] - ranks[k] == deg * at_least_k
+
+    @pytest.mark.parametrize("matrix, expected", [
+        (MIXED_8, {P(-2, 0, 1): (2,), P(-3, 0, 1): (1, 1)}),
+        (MIXED_16, {P(-2, 0, 1): (1, 1, 1, 1), P(-3, 0, 1): (2, 2)}),
+    ], ids=["n8", "n16"])
+    def test_mixed_residual_split_by_block_structure(self, matrix, expected):
+        profile = jordan_profile(matrix)
+        assert {e.factor: e.block_sizes for e in profile.entries} == expected
+        assert {e.kind for e in profile.entries} == {KIND_UNRESOLVED}
+
+
+# Irreducible quadratics with real irrational roots, as (c0, c1) of
+# t^2 + c1 t + c0; any two share no root, and two of equal multiplicity
+# land in one squarefree residual, which the profile splits only where
+# their block structures differ.
+IRRATIONAL_QUADRATICS = [(-2, 0), (-3, 0), (-1, -1), (1, -3), (-5, 0)]
+PARTITIONS = {1: [(1,)], 2: [(2,), (1, 1)], 3: [(3,), (2, 1), (1, 1, 1)]}
+
+
+@st.composite
+def planted_mixed_profiles(draw):
+    mult = draw(st.integers(1, 3))
+    quadratics = draw(st.lists(st.sampled_from(IRRATIONAL_QUADRATICS),
+                               min_size=1, max_size=2, unique=True))
+    blocks, residuals = [], {}
+    for c0, c1 in quadratics:
+        sizes = draw(st.sampled_from(PARTITIONS[mult]))
+        blocks += [quadratic_companion_block(k, c0, c1) for k in sizes]
+        residuals[sizes] = poly_mul(residuals.get(sizes, P(1)),
+                                    P(c0, c1, 1))
+    # quadratics that share a block structure stay one unresolved factor
+    expected = {f: sizes for sizes, f in residuals.items()}
+    linear = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 2)),
+                           max_size=2))
+    for lam, k in linear:
+        blocks.append(jordan_block(lam, k))
+        sizes = expected.get(P(-lam, 1), ()) + (k,)
+        expected[P(-lam, 1)] = tuple(sorted(sizes, reverse=True))
+    base = block_diag(blocks)
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    return conjugate(random_unimodular(rng, base.rows), base), expected
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(planted_mixed_profiles())
+def test_planted_mixed_residuals_recovered(case):
+    a, expected = case
+    profile = jordan_profile(a)
+    assert {e.factor: e.block_sizes for e in profile.entries} == expected

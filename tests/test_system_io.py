@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conley.dynamics import SystemSpec
 from conley.errors import ValidationError
 from conley.linalg import RationalMatrix
 from conley.system_io import parse_system, system_from_dict, system_to_dict
@@ -150,3 +152,37 @@ def test_round_trip(fixture_path, name):
     assert system_to_dict(again) == doc
     # and the document is pure JSON
     json.dumps(doc)
+
+
+# Keys of the schema are drawn often, so documents get past the first
+# checks and reach the nested ones.
+_KEYS = st.sampled_from(["basic_sets", "ambient", "name", "index", "matrix",
+                         "graph", "adjacency", "orientation", "dim",
+                         "homology_maps", "split_at"]) | st.text(max_size=4)
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.integers()
+            | st.floats(allow_nan=False) | st.text(max_size=4))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=30)
+_OBJECTS = st.dictionaries(_KEYS, _JSON, max_size=5)
+_SHAPED = st.fixed_dictionaries(
+    {"basic_sets": st.lists(_OBJECTS, max_size=1),
+     "ambient": st.fixed_dictionaries(
+        {"dim": st.integers(0, 3)},
+        optional={"homology_maps": st.dictionaries(
+            st.sampled_from(["0", "1", "01", "x", "\u00b2", "\u0661"]),
+            st.sampled_from([[], [[1]], [[0, 1], [-1, 1]]]) | _JSON,
+            max_size=3),
+                  "split_at": _JSON})})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_JSON | _SHAPED)
+def test_any_json_value_is_a_system_or_a_validation_error(doc):
+    try:
+        system = system_from_dict(doc)
+    except ValidationError:
+        return
+    assert isinstance(system, SystemSpec)
