@@ -122,17 +122,20 @@ def enumerate_periodic_oracle(shift, n, max_period=12, max_symbols=8):
         raise ResourceError(f"{shift.n} symbols exceed the cap "
                             f"{max_symbols}")
     adj = shift.adjacency
-
-    def extensions(first, prev, remaining):
-        if remaining == 0:
-            return adj[prev][first]
-        total = 0
-        for nxt in range(shift.n):
-            if adj[prev][nxt]:
-                total += extensions(first, nxt, remaining - 1)
-        return total
-
-    return sum(extensions(s, s, n - 1) for s in range(shift.n))
+    successors = [[j for j in range(shift.n) if row[j]] for row in adj]
+    total = 0
+    for first in range(shift.n):
+        # Depth-first over the admissible words starting at ``first``; an
+        # entry is (last symbol, symbols still to append) of one prefix.
+        stack = [(first, n - 1)]
+        while stack:
+            prev, remaining = stack.pop()
+            if remaining == 0:
+                total += adj[prev][first]
+                continue
+            for nxt in successors[prev]:
+                stack.append((nxt, remaining - 1))
+    return total
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,21 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are immutable, stored row-major as Fractions.  Rank and kernel run
-fraction-free (Bareiss) on a denominator-cleared copy so every intermediate
-is an integer determinant of the input; only the final back-substitution
-produces rational entries.  Subspaces carry a canonical basis (the reduced
-column echelon form), so equal subspaces compare equal entrywise.
+Matrices are immutable, stored row-major as Fractions.  The hot kernels
+run on plain integers: products, powers and the characteristic polynomial
+work on D times the matrix as int rows, with D the common denominator of
+its entries, and divide by the matching power of D once, when the result
+is built.  Rank and kernel run fraction-free (Bareiss) on a copy cleared
+row by row, so every intermediate is an integer determinant of the input;
+only the final back-substitution produces rational entries.  Subspaces
+carry a canonical basis (the reduced column echelon form), so equal
+subspaces compare equal entrywise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DomainError, InvariantError, ShapeError
 from .poly import IntPolynomial
@@ -133,10 +138,13 @@ class RationalMatrix:
         self._require_square("matrix power")
         if n < 0:
             raise DomainError("negative matrix power")
-        out = RationalMatrix.identity(self.rows)
+        denom, rows = self._scaled_int_rows()
+        cols = _columns(rows, self.cols)
+        out = [[int(i == j) for j in range(self.cols)]
+               for i in range(self.rows)]
         for _ in range(n):
-            out = out * self
-        return out
+            out = _int_product(out, cols)
+        return RationalMatrix._from_scaled(out, self.cols, denom ** n)
 
     def transpose(self):
         return RationalMatrix(
@@ -169,6 +177,24 @@ class RationalMatrix:
             raise ShapeError(f"{what} needs a square matrix, "
                              f"got {self.rows}x{self.cols}")
 
+    def _scaled_int_rows(self):
+        """(D, rows): D the least common denominator of all entries and
+        rows the entries of D * self as int lists."""
+        denom = lcm(*(x.denominator for x in self._e))
+        c = self.cols
+        flat = [x.numerator * (denom // x.denominator) for x in self._e]
+        return denom, [flat[i * c:(i + 1) * c] for i in range(self.rows)]
+
+    @classmethod
+    def _from_scaled(cls, rows, ncols, denom):
+        """The matrix (1 / denom) * rows, for int rows with ncols columns
+        and a positive int denom."""
+        if denom == 1:
+            entries = [Fraction(x) for row in rows for x in row]
+        else:
+            entries = [Fraction(x, denom) for row in rows for x in row]
+        return cls(len(rows), ncols, entries)
+
     def _int_rows_cleared(self):
         """Rows scaled by positive integers to clear denominators; this
         preserves rank and kernel."""
@@ -188,18 +214,32 @@ class RationalMatrix:
 
     def charpoly(self):
         """Monic characteristic polynomial det(tI - self), ascending
-        Fraction coefficients, computed by the Faddeev-LeVerrier
-        trace recursion."""
+        Fraction coefficients, computed by the Faddeev-LeVerrier trace
+        recursion on the integer matrix B = D self.
+
+        The coefficients c_k of det(tI - B) are integers, and so is every
+        matrix of the recursion, so c_k = -tr(M_k) / k divides exactly;
+        the coefficient of t^(n-k) for self is c_k / D^k.
+        """
         self._require_square("characteristic polynomial")
         n = self.rows
-        coeffs = [Fraction(1)]          # descending: c_n, c_{n-1}, ...
-        m = RationalMatrix.zeros(n, n)
-        ident = RationalMatrix.identity(n)
+        denom, rows = self._scaled_int_rows()
+        # M_k is a polynomial in B, so it commutes with B and B's columns
+        # serve every step.
+        cols = _columns(rows, n)
+        coeffs = [1]                    # descending: c_0, c_1, ...
+        m = [[0] * n for _ in range(n)]
         for k in range(1, n + 1):
-            m = m + coeffs[-1] * ident
-            m = self * m
-            coeffs.append(-m.trace() / k)
-        return tuple(reversed(coeffs))
+            for i in range(n):
+                m[i][i] += coeffs[-1]
+            m = _int_product(m, cols)
+            c, r = divmod(-sum(m[i][i] for i in range(n)), k)
+            if r:
+                raise InvariantError("Faddeev-LeVerrier trace of an integer "
+                                     "matrix is not divisible by its step")
+            coeffs.append(c)
+        return tuple(Fraction(c, denom ** k)
+                     for k, c in reversed(list(enumerate(coeffs))))
 
     def det(self):
         self._require_square("determinant")
@@ -210,18 +250,26 @@ class RationalMatrix:
 
 
 def mat_mul(a, b):
-    """Exact matrix product."""
+    """Exact matrix product, computed on the integer rows D_a a and
+    D_b b and divided by D_a D_b once."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by "
                          f"{b.rows}x{b.cols}")
-    cols = [b.column_list(j) for j in range(b.cols)]
-    entries = []
-    for i in range(a.rows):
-        row = a.row_list(i)
-        for col in cols:
-            entries.append(sum((x * y for x, y in zip(row, col)),
-                               Fraction(0)))
-    return RationalMatrix(a.rows, b.cols, entries)
+    da, ra = a._scaled_int_rows()
+    db, rb = b._scaled_int_rows()
+    return RationalMatrix._from_scaled(
+        _int_product(ra, _columns(rb, b.cols)), b.cols, da * db)
+
+
+def _columns(rows, ncols):
+    """The columns of an integer row list with ncols columns."""
+    return [[row[j] for row in rows] for j in range(ncols)]
+
+
+def _int_product(rows, cols):
+    """Integer matrix product, given the left factor's rows and the right
+    factor's columns."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
 
 
 def _bareiss_forward(m):

@@ -103,10 +103,7 @@ def _annihilator(m, v):
     The integer matrix D m keeps the chain integral; a dependency c_k
     among the (D m)^k v is the dependency c_k D^k among the m^k v.
     """
-    rows = m.tolist()
-    denom = lcm(*(x.denominator for row in rows for x in row))
-    rows = [[x.numerator * (denom // x.denominator) for x in row]
-            for row in rows]
+    denom, rows = m._scaled_int_rows()
     chain = [v]
     for _ in range(m.rows):
         w = chain[-1]

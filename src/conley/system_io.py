@@ -19,6 +19,15 @@ from .errors import ValidationError
 from .linalg import RationalMatrix
 
 
+def _shown(x):
+    """An input integer for an error message: in full up to 64 bits, else
+    by its bit length, since str() refuses ints past the interpreter's
+    digit limit."""
+    if x.bit_length() <= 64:
+        return str(x)
+    return f"<integer of {x.bit_length()} bits>"
+
+
 def _require_object(value, path, required, optional=()):
     if not isinstance(value, dict):
         raise ValidationError("expected an object", path)
@@ -54,7 +63,8 @@ def _require_int_matrix(value, path, entries=None):
             x = _require_int(x, f"{path}/{i}/{j}")
             if entries is not None and x not in entries:
                 raise ValidationError(
-                    f"entry {x} not in {sorted(entries)}", f"{path}/{i}/{j}")
+                    f"entry {_shown(x)} not in {sorted(entries)}",
+                    f"{path}/{i}/{j}")
             out.append(x)
         rows.append(out)
     return rows
@@ -126,10 +136,11 @@ def _parse_ambient(obj, path):
             raise ValidationError("degree key has too many digits",
                                   f"{mpath}/{key}") from exc
         if degree > dim:
-            raise ValidationError(f"degree {degree} exceeds dim {dim}",
+            raise ValidationError(f"degree {_shown(degree)} exceeds dim "
+                                  f"{_shown(dim)}",
                                   f"{mpath}/{key}")
         if degree in maps:
-            raise ValidationError(f"degree {degree} given twice",
+            raise ValidationError(f"degree {_shown(degree)} given twice",
                                   f"{mpath}/{key}")
         rows = _require_int_matrix(value, f"{mpath}/{key}")
         maps[degree] = RationalMatrix.from_rows(rows)
@@ -137,7 +148,8 @@ def _parse_ambient(obj, path):
     if "split_at" in obj:
         split_at = _require_int(obj["split_at"], f"{path}/split_at")
         if not 0 <= split_at <= dim:
-            raise ValidationError(f"split_at {split_at} outside 0..{dim}",
+            raise ValidationError(f"split_at {_shown(split_at)} outside "
+                                  f"0..{_shown(dim)}",
                                   f"{path}/split_at")
     return dim, maps, split_at
 
@@ -163,7 +175,8 @@ def system_from_dict(doc):
         for i, basic in enumerate(sets):
             if basic.index_u > dim:
                 raise ValidationError(
-                    f"index {basic.index_u} exceeds ambient dim {dim}",
+                    f"index {_shown(basic.index_u)} exceeds ambient dim "
+                    f"{_shown(dim)}",
                     f"/basic_sets/{i}/index")
     return SystemSpec(basic_sets=tuple(sets), ambient_dim=dim,
                       ambient_maps=maps, split_at=split_at)

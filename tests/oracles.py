@@ -4,8 +4,9 @@ Everything in here deliberately avoids the code paths it is used to check:
 determinants of polynomial matrices go through plain cofactor expansion
 (the library uses a trace recursion), ranks go through textbook Gaussian
 elimination over Fractions (the library uses fraction-free elimination),
-and invariant factors come from gcds of minors (the library uses a cyclic
-decomposition).
+invariant factors come from gcds of minors (the library uses a cyclic
+decomposition), and products and the trace recursion run entry by entry
+over Fractions (the library runs them on denominator-cleared integers).
 """
 
 from fractions import Fraction
@@ -90,6 +91,43 @@ def rref_rank(rows):
                 m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def mat_mul_oracle(a, b):
+    """Product of two RationalMatrix values by the textbook triple loop
+    over Fractions."""
+    assert a.cols == b.rows
+    return RationalMatrix(a.rows, b.cols, [
+        sum((a[i, k] * b[k, j] for k in range(a.cols)), Fraction(0))
+        for i in range(a.rows) for j in range(b.cols)])
+
+
+def charpoly_oracle(a):
+    """Monic det(tI - a), ascending Fractions, by the Faddeev-LeVerrier
+    recursion M_k = a (M_(k-1) + c_(k-1) I), c_k = -tr(M_k) / k on
+    Fraction matrices."""
+    n = a.rows
+    ident = RationalMatrix.identity(n)
+    coeffs = [Fraction(1)]              # descending
+    m = RationalMatrix.zeros(n, n)
+    for k in range(1, n + 1):
+        m = mat_mul_oracle(a, m + coeffs[-1] * ident)
+        coeffs.append(-sum((m[i, i] for i in range(n)), Fraction(0)) / k)
+    return tuple(reversed(coeffs))
+
+
+def charpoly_cofactor(a):
+    """Monic det(tI - a), ascending, by cofactor expansion."""
+    n = a.rows
+    char = [[[-a[i, j], 1] if i == j else [-a[i, j]] for j in range(n)]
+            for i in range(n)]
+    return tuple(det_poly(char))
+
+
+def random_rational_matrix(rng, rows, cols, max_den=7, bound=6):
+    return RationalMatrix(rows, cols, [
+        Fraction(rng.randint(-bound, bound), rng.randint(1, max_den))
+        for _ in range(rows * cols)])
 
 
 def random_int_matrix(rng, n, lo=-3, hi=3):
@@ -218,10 +256,12 @@ def random_shift_graph(rng, max_vertices=4):
 
 
 __all__ = [
-    "block_diag", "char_reversed_oracle", "companion", "conjugate",
-    "det_poly", "invariant_factors_oracle", "jordan_block",
-    "quadratic_companion_block", "random_int_matrix", "random_shift_graph",
-    "random_unimodular", "rref_rank",
+    "block_diag", "char_reversed_oracle", "charpoly_cofactor",
+    "charpoly_oracle", "companion", "conjugate", "det_poly",
+    "invariant_factors_oracle", "jordan_block", "mat_mul_oracle",
+    "quadratic_companion_block", "random_int_matrix",
+    "random_rational_matrix", "random_shift_graph", "random_unimodular",
+    "rref_rank",
 ]
 
 

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conley.cli import main
 
@@ -158,6 +163,18 @@ class TestVerifyCommand:
         assert report["ok"] is True
         assert code == 0
 
+    def test_long_periods_enumerate_without_recursion(self, capsys,
+                                                      tmp_path):
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({"basic_sets": [{
+            "name": "cycle", "index": 1,
+            "graph": {"adjacency": [[0, 1], [1, 0]],
+                      "orientation": [1, 1]}}]}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", str(path),
+                                 "--max-enum", "1200")
+        assert code == 0, err
+        assert "trace formula matches enumeration for n = 1..1200" in out
+
 
 # Inputs that once escaped validation with a traceback, mapped to the
 # file content and the JSON pointer the error names (None: the file path).
@@ -267,3 +284,54 @@ def test_console_entry_point(fixture_path):
         capture_output=True, text=True, check=False)
     assert result.returncode == 0
     assert "zeta function" in result.stdout
+
+
+def _square(elements, max_n=4):
+    return st.integers(0, max_n).flatmap(lambda n: st.lists(
+        st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@st.composite
+def _valid_documents(draw):
+    """Small valid system documents: integer matrices and signed shifts
+    with n <= 4, and optionally an ambient manifold of dimension <= 3 with
+    a homology map in every degree, unit maps at the two ends as for a
+    torus."""
+    dim = draw(st.none() | st.integers(0, 3))
+    sets = []
+    for i in range(draw(st.integers(1, 3))):
+        entry = {"name": f"s{i}",
+                 "index": draw(st.integers(0, 3 if dim is None else dim))}
+        if draw(st.booleans()):
+            entry["matrix"] = draw(_square(st.integers(-3, 3)))
+        else:
+            adjacency = draw(_square(st.integers(0, 1)))
+            entry["graph"] = {"adjacency": adjacency, "orientation": [
+                draw(st.sampled_from((1, -1))) for _ in adjacency]}
+        sets.append(entry)
+    doc = {"basic_sets": sets}
+    if dim is not None:
+        unit = st.sampled_from(([[1]], [[-1]]))
+        maps = {str(k): draw(unit if k in (0, dim)
+                             else _square(st.integers(-3, 3)))
+                for k in range(dim + 1)}
+        doc["ambient"] = {"dim": dim, "homology_maps": maps}
+        if draw(st.booleans()):
+            doc["ambient"]["split_at"] = draw(st.integers(0, dim))
+    return doc
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_valid_documents(), st.integers(0, 3))
+def test_valid_documents_never_exit_three(doc, q):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "system.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["index"], ["jordan"], ["zeta"], ["verify"],
+                     ["morse", "--q", str(q)]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([*argv, str(path)])
+            # morse exits 2 without ambient data or for q past its dim.
+            expected = {0, 2} if argv[0] == "morse" else {0}
+            assert code in expected, (argv, doc, err.getvalue())

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conley.errors import DomainError, ShapeError
 from conley.linalg import (RationalMatrix, Subspace, char_reversed,
@@ -10,7 +11,9 @@ from conley.linalg import (RationalMatrix, Subspace, char_reversed,
                            solve_columns)
 from conley.poly import IntPolynomial
 
-from oracles import char_reversed_oracle, random_int_matrix, rref_rank
+from oracles import (char_reversed_oracle, charpoly_cofactor,
+                     charpoly_oracle, mat_mul_oracle, random_int_matrix,
+                     random_rational_matrix, rref_rank)
 
 HORSESHOE = RationalMatrix.from_rows([[1, -1], [1, -1]])
 TORUS = RationalMatrix.from_rows([[0, 1], [-1, 1]])
@@ -36,6 +39,64 @@ class TestMatMul:
     def test_power_and_trace(self):
         assert (TORUS ** 3).trace() == -2
         assert (TORUS ** 0) == RationalMatrix.identity(2)
+
+
+class TestIntegerKernel:
+    """Products, powers and charpoly run on denominator-cleared integers;
+    check them against the Fraction routes in the oracles."""
+
+    def test_product_matches_fraction_oracle(self):
+        rng = random.Random(17)
+        for _ in range(150):
+            p, q, r = (rng.randint(0, 5) for _ in range(3))
+            a = random_rational_matrix(rng, p, q)
+            b = random_rational_matrix(rng, q, r)
+            assert mat_mul(a, b) == mat_mul_oracle(a, b)
+
+    def test_power_matches_repeated_oracle_product(self):
+        rng = random.Random(19)
+        for _ in range(60):
+            n = rng.randint(0, 5)
+            a = random_rational_matrix(rng, n, n)
+            expected = RationalMatrix.identity(n)
+            for k in range(6):
+                assert a ** k == expected
+                expected = mat_mul_oracle(expected, a)
+
+    def test_charpoly_matches_fraction_recursion_and_cofactors(self):
+        rng = random.Random(23)
+        for _ in range(150):
+            n = rng.randint(0, 5)
+            a = random_rational_matrix(rng, n, n)
+            assert a.charpoly() == charpoly_oracle(a) == charpoly_cofactor(a)
+
+    def test_charpoly_of_integer_matrix_matches_cofactors(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            a = random_int_matrix(rng, rng.randint(0, 5))
+            assert a.charpoly() == charpoly_cofactor(a)
+
+    @pytest.mark.parametrize("a, b", [
+        (RationalMatrix.zeros(0, 3), RationalMatrix.zeros(3, 0)),
+        (RationalMatrix.zeros(3, 0), RationalMatrix.zeros(0, 2)),
+        (RationalMatrix.zeros(0, 0), RationalMatrix.zeros(0, 0)),
+    ])
+    def test_empty_shapes(self, a, b):
+        product = mat_mul(a, b)
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        assert product == RationalMatrix.zeros(a.rows, b.cols)
+
+    def test_empty_power(self):
+        assert RationalMatrix.zeros(0, 0) ** 3 == RationalMatrix.zeros(0, 0)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda n: st.lists(
+               st.fractions(min_value=-6, max_value=6, max_denominator=7),
+               min_size=n * n, max_size=n * n).map(
+                   lambda e: RationalMatrix(n, n, e))),
+           st.integers(0, 5), st.integers(0, 5))
+    def test_powers_add(self, a, j, k):
+        assert a ** j * a ** k == a ** (j + k)
 
 
 class TestRank:

@@ -136,6 +136,37 @@ def test_ambient_validation():
     assert err.value.location == "/basic_sets/0/index"
 
 
+HUGE = 10 ** 5000       # past the interpreter's int-to-str digit limit
+
+
+def _shift_doc(entry):
+    return {"basic_sets": [{"name": "s", "index": 0, "graph": {
+        "adjacency": [[entry]], "orientation": [1]}}]}
+
+
+@pytest.mark.parametrize("doc, location, shown", [
+    (_shift_doc(HUGE), "/basic_sets/0/graph/adjacency/0/0",
+     "entry <integer of 16610 bits> not in [0, 1]"),
+    ({"basic_sets": [], "ambient": {"dim": 1, "split_at": HUGE}},
+     "/ambient/split_at", "split_at <integer of 16610 bits> outside 0..1"),
+    ({"basic_sets": [], "ambient": {"dim": HUGE, "split_at": -1}},
+     "/ambient/split_at", "split_at -1 outside 0..<integer of 16610 bits>"),
+    ({"basic_sets": [], "ambient": {"dim": 1, "homology_maps":
+                                    {"9" * 30: [[1]]}}},
+     "/ambient/homology_maps/" + "9" * 30,
+     "degree <integer of 100 bits> exceeds dim 1"),
+    ({"basic_sets": [{"name": "s", "index": HUGE, "matrix": [[1]]}],
+      "ambient": {"dim": 2}},
+     "/basic_sets/0/index", "index <integer of 16610 bits> exceeds "
+     "ambient dim 2"),
+], ids=["adjacency-entry", "split_at", "dim", "degree", "index"])
+def test_huge_integers_in_messages_are_abbreviated(doc, location, shown):
+    with pytest.raises(ValidationError) as err:
+        system_from_dict(doc)
+    assert err.value.location == location
+    assert str(err.value) == f"{location}: {shown}"
+
+
 def test_zero_by_zero_matrix_is_legal():
     system = system_from_dict(
         {"basic_sets": [{"name": "void", "index": 0, "matrix": []}]})
