@@ -108,11 +108,17 @@ def count_periodic(shift, n):
     return int((g ** n).trace())
 
 
+# Stack entries the brute-force enumeration may pop in one call; the full
+# 8-shift passes it at period 7.
+ORACLE_MAX_STEPS = 10**6
+
+
 def enumerate_periodic_oracle(shift, n, max_period=12, max_symbols=8):
     """Brute-force count of admissible length-n cyclic symbol words.
 
     Exhaustive (with dead-prefix pruning), so it is an independent check
-    of count_periodic.  Caps guard against runaway enumeration.
+    of count_periodic.  Caps on the period, the symbol count and the
+    number of steps guard against runaway enumeration.
     """
     if n < 1:
         raise DomainError("period must be at least 1")
@@ -124,11 +130,17 @@ def enumerate_periodic_oracle(shift, n, max_period=12, max_symbols=8):
     adj = shift.adjacency
     successors = [[j for j in range(shift.n) if row[j]] for row in adj]
     total = 0
+    steps = 0
     for first in range(shift.n):
         # Depth-first over the admissible words starting at ``first``; an
         # entry is (last symbol, symbols still to append) of one prefix.
         stack = [(first, n - 1)]
         while stack:
+            steps += 1
+            if steps > ORACLE_MAX_STEPS:
+                raise ResourceError(
+                    f"enumerating period {n} takes more than "
+                    f"{ORACLE_MAX_STEPS} steps")
             prev, remaining = stack.pop()
             if remaining == 0:
                 total += adj[prev][first]

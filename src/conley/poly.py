@@ -2,9 +2,11 @@
 
 Coefficients are stored ascending in degree with no trailing zeros, so the
 zero polynomial is the empty tuple and ``coeffs[-1]`` is always the leading
-coefficient of a nonzero polynomial.  Division-flavoured operations work in
-the rationals internally and hand back integer polynomials in a canonical
-scaling (primitive, positive leading coefficient for gcds).
+coefficient of a nonzero polynomial.  All arithmetic runs on plain ``int``
+coefficients: division is integer long division that refuses a quotient
+outside Z[t], and gcds come from a primitive pseudo-remainder sequence in a
+canonical scaling (primitive, positive leading coefficient).  Products of
+rational functions cancel across the two factors before they multiply.
 """
 
 from __future__ import annotations
@@ -185,41 +187,36 @@ def poly_mul(p, q):
     return as_poly(p) * as_poly(q)
 
 
-def _qdivmod(num, den):
-    """Quotient and remainder over the rationals, as Fraction lists."""
-    rem = [Fraction(c) for c in num]
-    db = len(den) - 1
-    lead = Fraction(den[-1])
-    if len(rem) < len(den):
-        return [], _trim(rem)
-    quot = [Fraction(0)] * (len(rem) - db)
-    for k in range(len(rem) - 1, db - 1, -1):
-        c = rem[k] / lead
-        if c:
-            quot[k - db] = c
-            for j in range(db + 1):
-                rem[k - db + j] -= c * den[j]
-        rem[k] = Fraction(0)
-    return _trim(quot), _trim(rem)
-
-
 def poly_divmod(p, q):
-    """Exact division with remainder in Q[t], restricted to integer results.
+    """Division with remainder in Q[t], restricted to integer results.
 
-    Division by a primitive divisor of an integer polynomial always lands
-    back in Z[t] (Gauss), which covers every caller in this package; a
-    genuinely fractional quotient or remainder raises DomainError instead
-    of being silently rescaled.
+    Integer long division: each quotient coefficient is the leading
+    remainder coefficient divided by the divisor's leading coefficient.
+    When that division leaves a remainder, the quotient over Q has a
+    non-integer coefficient and DomainError is raised instead of the
+    result being silently rescaled; otherwise quotient and remainder are
+    exactly those over Q.  A primitive divisor of an integer polynomial
+    always divides it within Z[t] (Gauss), which covers every caller in
+    this package.
     """
     p, q = as_poly(p), as_poly(q)
     if q.is_zero:
         raise DomainError("polynomial division by zero")
-    quot, rem = _qdivmod(p.coeffs, q.coeffs)
-    for c in quot + rem:
-        if c.denominator != 1:
+    den = q.coeffs
+    db = len(den) - 1
+    lead = den[-1]
+    rem = list(p.coeffs)
+    quot = [0] * max(len(rem) - db, 0)
+    for k in range(len(rem) - 1, db - 1, -1):
+        c, r = divmod(rem[k], lead)
+        if r:
             raise DomainError(
                 f"division of {p} by {q} is not exact over the integers")
-    return IntPolynomial(quot), IntPolynomial(rem)
+        if c:
+            quot[k - db] = c
+            s = k - db
+            rem[s:k] = [x - c * y for x, y in zip(rem[s:k], den)]
+    return IntPolynomial(quot), IntPolynomial(rem[:db])
 
 
 def exact_div(p, q):
@@ -230,45 +227,57 @@ def exact_div(p, q):
     return quot
 
 
-def _qmod(a, b):
-    """a mod b for nonzero Fraction lists a, b."""
-    a = a[:]
-    db = len(b) - 1
-    inv = 1 / b[-1]
-    for k in range(len(a) - 1, db - 1, -1):
-        c = a[k] * inv
-        if c:
-            for j in range(db):
-                a[k - db + j] -= c * b[j]
-            a[k] = Fraction(0)
-    return _trim(a)
-
-
-def _fractions_to_primitive(cs):
-    """Scale a nonzero Fraction list to a primitive, positive-leading
-    integer polynomial."""
-    mult = 1
-    for c in cs:
-        mult = mult * c.denominator // gcd(mult, c.denominator)
-    ints = [int(c * mult) for c in cs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if ints[-1] < 0:
+def _primitive(cs):
+    """A nonzero int list divided by its content, leading entry positive."""
+    g = gcd(*cs)
+    if cs[-1] < 0:
         g = -g
-    return IntPolynomial([c // g for c in ints])
+    return cs if g == 1 else [c // g for c in cs]
+
+
+def _pseudo_rem(a, b):
+    """A positive integer multiple of a mod b, for int lists with
+    len(a) >= len(b) > 1 and b's leading entry positive.  Each step scales
+    the running remainder only by lead(b) / gcd(lead(b), leading term)."""
+    r = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    for k in range(len(r) - 1, db - 1, -1):
+        c = r[k]
+        if not c:
+            continue
+        g = gcd(c, lead)
+        m, c = lead // g, c // g
+        s = k - db
+        r = [m * x for x in r[:s]] + \
+            [m * x - c * y for x, y in zip(r[s:k], b)]
+    return _trim(r[:db])
 
 
 def poly_gcd(p, q):
-    """gcd in Q[t], returned primitive with positive leading coefficient."""
+    """gcd in Q[t], returned primitive with positive leading coefficient.
+
+    Primitive pseudo-remainder sequence on the integer coefficients: (a, b)
+    becomes (b, primitive part of a pseudo-remainder of a by b) until the
+    remainder vanishes (the gcd is b) or is a constant (the gcd is 1).
+    Removing the content at each step keeps the coefficients from growing
+    the way a plain pseudo-remainder sequence lets them.
+    """
     p, q = as_poly(p), as_poly(q)
-    a = [Fraction(c) for c in p.coeffs]
-    b = [Fraction(c) for c in q.coeffs]
-    while b:
-        a, b = b, _qmod(a, b)
-    if not a:
-        return ZERO
-    return _fractions_to_primitive(a)
+    if p.is_zero or q.is_zero:
+        return (q if p.is_zero else p).normalized()
+    if p.degree == 0 or q.degree == 0:
+        return ONE
+    a, b = _primitive(p.coeffs), _primitive(q.coeffs)
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _pseudo_rem(a, b)
+        if not r:
+            return IntPolynomial(b)
+        if len(r) == 1:
+            return ONE
+        a, b = b, _primitive(r)
 
 
 def squarefree_decomposition(p):
@@ -309,20 +318,31 @@ class RationalFunction:
         num, den = as_poly(num), as_poly(den)
         if den.is_zero:
             raise DomainError("zero denominator in rational function")
-        if num.is_zero:
-            num, den = ZERO, ONE
-        else:
+        if not num.is_zero:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num, den = exact_div(num, g), exact_div(den, g)
+        settled = self._settled(num, den)
+        object.__setattr__(self, "num", settled.num)
+        object.__setattr__(self, "den", settled.den)
+
+    @classmethod
+    def _settled(cls, num, den):
+        """num / den, given coprime in Q[t], with the canonical sign and
+        integer content."""
+        if num.is_zero:
+            num, den = ZERO, ONE
+        else:
             if den.leading < 0:
                 num, den = -num, -den
             k = gcd(num.content(), den.content())
             if k > 1:
                 num = IntPolynomial([c // k for c in num.coeffs])
                 den = IntPolynomial([c // k for c in den.coeffs])
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        out = cls.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     @property
     def is_one(self):
@@ -345,14 +365,21 @@ class RationalFunction:
     def __mul__(self, other):
         if isinstance(other, (IntPolynomial, int)):
             other = RationalFunction(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        # Cross-cancellation (Henrici): with both factors canonical, the
+        # product's only common factors are these two gcds, so after
+        # removing them the new numerator and denominator are coprime.
+        g1 = poly_gcd(self.num, other.den)
+        g2 = poly_gcd(other.num, self.den)
+        return RationalFunction._settled(
+            exact_div(self.num, g1) * exact_div(other.num, g2),
+            exact_div(self.den, g2) * exact_div(other.den, g1))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.num.is_zero:
             raise DomainError("cannot invert the zero rational function")
-        return RationalFunction(self.den, self.num)
+        return RationalFunction._settled(self.den, self.num)
 
     def __pow__(self, n):
         base = self

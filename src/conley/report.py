@@ -14,7 +14,7 @@ import json
 from .dynamics import (conley_index, count_periodic,
                        enumerate_periodic_oracle, lefschetz_series,
                        morse_split_check, zeta_basic_set, zeta_via_index)
-from .errors import ResourceError
+from .errors import ResourceError, ValidationError
 from .linalg import char_reversed, char_reversed_rational
 from .poly import IntPolynomial
 from .spectral import (generalized_image, generalized_kernel,
@@ -137,6 +137,8 @@ def build_verify_report(system, max_enum=6):
     Conley index vs directly from the structure matrix, and the
     eventual-image restriction against its defining identities.
     """
+    if max_enum < 1:
+        raise ValidationError(f"max_enum must be at least 1, got {max_enum}")
     dim = system.effective_dim()
     checks = []
     for basic in system.sorted_sets():

@@ -5,7 +5,9 @@ determinants of polynomial matrices go through plain cofactor expansion
 (the library uses a trace recursion), ranks go through textbook Gaussian
 elimination over Fractions (the library uses fraction-free elimination),
 invariant factors come from gcds of minors (the library uses a cyclic
-decomposition), and products and the trace recursion run entry by entry
+decomposition), polynomial gcds and division run Euclid and long division
+over Fractions (the library uses integer pseudo-remainders and integer
+long division), and products and the trace recursion run entry by entry
 over Fractions (the library runs them on denominator-cleared integers).
 """
 
@@ -204,8 +206,9 @@ def block_diag(blocks):
     return RationalMatrix.from_rows(rows)
 
 
-def _fdivmod(num, den):
-    """Quotient and remainder of ascending Fraction coefficient lists."""
+def poly_divmod_oracle(num, den):
+    """Quotient and remainder of ascending Fraction coefficient lists, by
+    long division over the rationals."""
     num = list(num)
     quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
     for k in range(len(quot) - 1, -1, -1):
@@ -216,10 +219,11 @@ def _fdivmod(num, den):
     return _ptrim(quot), _ptrim(num)
 
 
-def _fgcd(a, b):
-    """Monic gcd of ascending Fraction coefficient lists (Euclid)."""
+def poly_gcd_oracle(a, b):
+    """Monic gcd of ascending Fraction coefficient lists, not both zero
+    (Euclid over the rationals)."""
     while b:
-        a, b = b, _fdivmod(a, b)[1]
+        a, b = b, poly_divmod_oracle(a, b)[1]
     return [c / a[-1] for c in a]
 
 
@@ -237,11 +241,11 @@ def invariant_factors_oracle(a):
         for rows in combinations(range(n), k):
             for cols in combinations(range(n), k):
                 minor = det_poly([[char[i][j] for j in cols] for i in rows])
-                g = _fgcd(g, minor)
+                g = poly_gcd_oracle(g, minor)
         divisors.append(g)
     factors = []
     for k in range(1, n + 1):
-        quot, rem = _fdivmod(divisors[k], divisors[k - 1])
+        quot, rem = poly_divmod_oracle(divisors[k], divisors[k - 1])
         assert not rem
         if len(quot) > 1:
             factors.append(quot)
@@ -259,9 +263,9 @@ __all__ = [
     "block_diag", "char_reversed_oracle", "charpoly_cofactor",
     "charpoly_oracle", "companion", "conjugate", "det_poly",
     "invariant_factors_oracle", "jordan_block", "mat_mul_oracle",
-    "quadratic_companion_block", "random_int_matrix",
-    "random_rational_matrix", "random_shift_graph", "random_unimodular",
-    "rref_rank",
+    "poly_divmod_oracle", "poly_gcd_oracle", "quadratic_companion_block",
+    "random_int_matrix", "random_rational_matrix", "random_shift_graph",
+    "random_unimodular", "rref_rank",
 ]
 
 

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,6 +175,33 @@ class TestVerifyCommand:
                                  "--max-enum", "1200")
         assert code == 0, err
         assert "trace formula matches enumeration for n = 1..1200" in out
+
+    @pytest.mark.parametrize("max_enum", ["0", "-3"])
+    def test_max_enum_below_one_is_user_error(self, capsys, fixture_path,
+                                              max_enum):
+        code, out, err = run_cli(capsys, "verify",
+                                 fixture_path("horseshoe.json"),
+                                 "--max-enum", max_enum)
+        assert code == 2
+        assert out == ""
+        assert "max_enum must be at least 1" in err
+
+    def test_enumeration_too_long_is_skipped(self, capsys, tmp_path):
+        # The full 8-shift has 8^n words of length n; period 12 alone
+        # would take hours to enumerate.
+        path = tmp_path / "full8.json"
+        path.write_text(json.dumps({"basic_sets": [{
+            "name": "full8", "index": 1,
+            "graph": {"adjacency": [[1] * 8] * 8,
+                      "orientation": [1] * 8}}]}), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", str(path),
+                                 "--max-enum", "12", "--format", "json")
+        assert time.perf_counter() - start < 60
+        assert code == 0, err
+        periodic = [c for c in json.loads(out)["checks"]
+                    if c["check"] == "periodic_counts"]
+        assert [c["status"] for c in periodic] == ["skipped"]
 
 
 # Inputs that once escaped validation with a traceback, mapped to the

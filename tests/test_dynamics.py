@@ -117,6 +117,12 @@ class TestPeriodicCounts:
         with pytest.raises(ResourceError):
             enumerate_periodic_oracle(big, 2)
 
+    def test_step_cap(self):
+        full8 = VertexShiftSpec.from_lists([[1] * 8] * 8, [1] * 8)
+        assert enumerate_periodic_oracle(full8, 6) == 8 ** 6
+        with pytest.raises(ResourceError):
+            enumerate_periodic_oracle(full8, 7)
+
     def test_trace_formula_matches_enumeration(self):
         rng = random.Random(211)
         for _ in range(60):

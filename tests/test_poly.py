@@ -1,11 +1,16 @@
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conley.errors import DomainError
 from conley.poly import (ONE, T, ZERO, IntPolynomial, RationalFunction,
                          poly_divmod, poly_gcd, poly_mul, ratfunc_inv,
                          ratfunc_mul, squarefree_decomposition)
+
+from oracles import poly_divmod_oracle, poly_gcd_oracle
 
 
 def P(*coeffs):
@@ -205,3 +210,93 @@ class TestRationalFunction:
         assert f ** 2 == RationalFunction(P(1, -2, 1))
         assert f ** -1 == RationalFunction(1, P(1, -1))
         assert (f ** 0).is_one
+
+
+# Integer polynomials for the properties below: degree <= max_degree and
+# coefficients in -5..5, so zero, constants and negative leading
+# coefficients all come up.
+def _polys(max_degree):
+    return st.lists(st.integers(-5, 5),
+                    max_size=max_degree + 1).map(IntPolynomial)
+
+
+# Polynomials that are never zero: any lower coefficients under a nonzero,
+# often non-unit, leading coefficient.
+_NONZERO_LEADS = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+
+def _nonzero_polys(max_degree):
+    return st.tuples(st.lists(st.integers(-5, 5), max_size=max_degree),
+                     _NONZERO_LEADS).map(
+        lambda t: IntPolynomial(t[0] + [t[1]]))
+
+
+_SCALES = st.sampled_from([1, -1, 2, -3, 6])
+
+
+@st.composite
+def _gcd_pairs(draw):
+    """Two polynomials of degree <= 8 sharing a planted factor, each
+    scaled by an integer that may make it non-primitive or flip its
+    leading sign."""
+    planted = draw(st.just(ONE) | _nonzero_polys(3))
+    return tuple(draw(_polys(5)) * planted * draw(_SCALES)
+                 for _ in range(2))
+
+
+def _fractions(p):
+    return [Fraction(c) for c in p.coeffs]
+
+
+def _primitive_oracle(cs):
+    """A nonzero Fraction list scaled to a primitive integer polynomial
+    with positive leading coefficient."""
+    den = lcm(*(c.denominator for c in cs))
+    return IntPolynomial([int(c * den) for c in cs]).normalized()
+
+
+class TestIntegerLayerAgainstOracles:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_gcd_pairs())
+    def test_gcd_matches_euclid_over_q(self, pair):
+        a, b = pair
+        if a.is_zero and b.is_zero:
+            expected = ZERO
+        else:
+            expected = _primitive_oracle(
+                poly_gcd_oracle(_fractions(a), _fractions(b)))
+        assert poly_gcd(a, b) == expected
+        assert poly_gcd(b, a) == expected
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.tuples(_polys(8), _nonzero_polys(4)),
+        # p = q s + r with deg r < deg q: an integral result over Q.
+        st.tuples(_nonzero_polys(4), _polys(4), _polys(3)).map(
+            lambda t: (t[0] * t[1] + IntPolynomial(
+                t[2].coeffs[:t[0].degree]), t[0]))))
+    def test_divmod_matches_long_division_over_q(self, pair):
+        p, q = pair
+        quot, rem = poly_divmod_oracle(_fractions(p), _fractions(q))
+        if all(c.denominator == 1 for c in quot + rem):
+            assert poly_divmod(p, q) == (IntPolynomial(quot),
+                                         IntPolynomial(rem))
+        else:
+            with pytest.raises(DomainError):
+                poly_divmod(p, q)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_nonzero_polys(2), _nonzero_polys(2), _polys(3),
+           _nonzero_polys(3), _polys(3), _nonzero_polys(3), _SCALES,
+           _SCALES)
+    def test_product_matches_reduction_of_full_product(
+            self, h1, h2, n1, d1, n2, d2, s1, s2):
+        # h1 is planted in f's numerator and g's denominator, h2 in g's
+        # numerator and f's denominator, so both cross gcds can be
+        # nontrivial; the scales give integer content to cancel.
+        f = RationalFunction(n1 * h1 * s1, d1 * h2)
+        g = RationalFunction(n2 * h2, d2 * h1 * s2)
+        expected = RationalFunction(f.num * g.num, f.den * g.den)
+        assert f * g == expected
+        assert g * f == expected
+        assert f * g.num == RationalFunction(f.num * g.num, f.den)
