@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, InvariantError, ResourceError, \
     ValidationError
-from .linalg import RationalMatrix, char_reversed, char_reversed_rational
+from .linalg import (RationalMatrix, _columns, _int_product, char_reversed,
+                     char_reversed_rational)
 from .poly import RationalFunction
 from .spectral import invariant_factors, nonnilpotent_part
 
@@ -113,12 +114,22 @@ def count_periodic(shift, n):
 ORACLE_MAX_STEPS = 10**6
 
 
-def enumerate_periodic_oracle(shift, n, max_period=12, max_symbols=8):
+class StepBudget:
+    """Stack entries that a run of enumerations may pop in all."""
+
+    def __init__(self, steps):
+        self.steps = steps
+        self.left = steps
+
+
+def enumerate_periodic_oracle(shift, n, max_period=12, max_symbols=8,
+                              budget=None):
     """Brute-force count of admissible length-n cyclic symbol words.
 
     Exhaustive (with dead-prefix pruning), so it is an independent check
     of count_periodic.  Caps on the period, the symbol count and the
-    number of steps guard against runaway enumeration.
+    number of steps guard against runaway enumeration; a StepBudget
+    passed as ``budget`` also caps the steps of all the calls sharing it.
     """
     if n < 1:
         raise DomainError("period must be at least 1")
@@ -127,6 +138,14 @@ def enumerate_periodic_oracle(shift, n, max_period=12, max_symbols=8):
     if shift.n > max_symbols:
         raise ResourceError(f"{shift.n} symbols exceed the cap "
                             f"{max_symbols}")
+    if budget is not None and budget.left < ORACLE_MAX_STEPS:
+        limit = budget.left
+        message = (f"enumerating periods up to {n} takes more than "
+                   f"{budget.steps} steps")
+    else:
+        limit = ORACLE_MAX_STEPS
+        message = (f"enumerating period {n} takes more than "
+                   f"{ORACLE_MAX_STEPS} steps")
     adj = shift.adjacency
     successors = [[j for j in range(shift.n) if row[j]] for row in adj]
     total = 0
@@ -137,16 +156,16 @@ def enumerate_periodic_oracle(shift, n, max_period=12, max_symbols=8):
         stack = [(first, n - 1)]
         while stack:
             steps += 1
-            if steps > ORACLE_MAX_STEPS:
-                raise ResourceError(
-                    f"enumerating period {n} takes more than "
-                    f"{ORACLE_MAX_STEPS} steps")
+            if steps > limit:
+                raise ResourceError(message)
             prev, remaining = stack.pop()
             if remaining == 0:
                 total += adj[prev][first]
                 continue
             for nxt in successors[prev]:
                 stack.append((nxt, remaining - 1))
+    if budget is not None:
+        budget.left -= steps
     return total
 
 
@@ -269,12 +288,15 @@ def lefschetz_series(basic, ambient_dim, m):
     power on these equal the traces of the nonnilpotent part."""
     if m < 1:
         raise DomainError("series length must be at least 1")
-    a = basic.structure.matrix
+    rows = basic.structure.matrix.to_int_rows()
+    n = len(rows)
+    cols = _columns(rows, n)
     out = []
-    power = RationalMatrix.identity(a.rows)
-    for _ in range(m):
-        power = power * a
-        out.append(int(power.trace()))
+    power = rows
+    for k in range(m):
+        if k:
+            power = _int_product(power, cols)
+        out.append(sum(power[i][i] for i in range(n)))
     return out
 
 

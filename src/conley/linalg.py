@@ -4,17 +4,18 @@ Matrices are immutable, stored row-major as Fractions.  The hot kernels
 run on plain integers: products, powers and the characteristic polynomial
 work on D times the matrix as int rows, with D the common denominator of
 its entries, and divide by the matching power of D once, when the result
-is built.  Rank and kernel run fraction-free (Bareiss) on a copy cleared
-row by row, so every intermediate is an integer determinant of the input;
-only the final back-substitution produces rational entries.  Subspaces
-carry a canonical basis (the reduced column echelon form), so equal
-subspaces compare equal entrywise.
+is built.  Rank, kernel, column echelon form and solve share one
+fraction-free (Bareiss) Gauss-Jordan elimination on a copy cleared row by
+row: every intermediate is an integer minor of the input, and the reduced
+echelon form is d times an integer matrix, divided by d once at the end.
+Subspaces carry a canonical basis (the reduced column echelon form), so
+equal subspaces compare equal entrywise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .errors import DomainError, InvariantError, ShapeError
@@ -139,11 +140,16 @@ class RationalMatrix:
         if n < 0:
             raise DomainError("negative matrix power")
         denom, rows = self._scaled_int_rows()
-        cols = _columns(rows, self.cols)
         out = [[int(i == j) for j in range(self.cols)]
                for i in range(self.rows)]
-        for _ in range(n):
-            out = _int_product(out, cols)
+        # Binary exponentiation: rows runs through (D self)^(2^k).
+        k = n
+        while k:
+            if k & 1:
+                out = _int_product(out, _columns(rows, self.cols))
+            k >>= 1
+            if k:
+                rows = _int_product(rows, _columns(rows, self.cols))
         return RationalMatrix._from_scaled(out, self.cols, denom ** n)
 
     def transpose(self):
@@ -198,19 +204,11 @@ class RationalMatrix:
     def _int_rows_cleared(self):
         """Rows scaled by positive integers to clear denominators; this
         preserves rank and kernel."""
-        out = []
-        for i in range(self.rows):
-            row = self.row_list(i)
-            mult = 1
-            for x in row:
-                mult = mult * x.denominator // gcd(mult, x.denominator)
-            out.append([int(x * mult) for x in row])
-        return out
+        return _cleared(self.row_list(i) for i in range(self.rows))
 
     def rank(self):
-        """Exact rank by fraction-free (Bareiss) elimination."""
-        m = self._int_rows_cleared()
-        return _bareiss_forward(m)[0]
+        """Exact rank: the pivot count of fraction-free elimination."""
+        return len(_gauss_jordan(self._int_rows_cleared())[0])
 
     def charpoly(self):
         """Monic characteristic polynomial det(tI - self), ascending
@@ -272,11 +270,15 @@ def _int_product(rows, cols):
     return [[sum(map(mul, row, col)) for col in cols] for row in rows]
 
 
-def _bareiss_forward(m):
-    """Fraction-free forward elimination in place on integer rows.
+def _gauss_jordan(m):
+    """Fraction-free Gauss-Jordan elimination in place on integer rows.
 
-    Returns (rank, pivot column list); afterwards m is upper echelon with
-    integer entries (each a minor of the input, up to sign).
+    Returns (pivot column list, d).  Each step updates every other row,
+    earlier pivot rows included, by (p x - f y) / prev, which Sylvester's
+    identity makes exact (Bareiss 1968), so every entry stays a minor of
+    the input.  Afterwards the first len(pivots) rows of m are d times the
+    rows of the reduced row echelon form, d the last pivot (1 when there
+    is none), and the remaining rows are zero.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -284,60 +286,36 @@ def _bareiss_forward(m):
     prev = 1
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        row = m[r]
+        p = row[c]
+        for i in range(nrows):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], row)]
+        prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return r, pivots
+    return pivots, prev
 
 
 def rank(a):
     return a.rank()
 
 
-def _rref(rows):
-    """Reduced row echelon form over Fractions, in place.
-
-    Returns the pivot column list.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+def _cleared(rows):
+    """Integer lists of Fraction rows, each scaled by a positive integer
+    to clear its denominators."""
+    out = []
+    for row in rows:
+        mult = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (mult // x.denominator) for x in row])
+    return out
 
 
 class Subspace:
@@ -394,14 +372,17 @@ class Subspace:
 
 def column_rref(m):
     """Canonical basis (reduced column echelon form) of the column space."""
-    rows = [m.column_list(j) for j in range(m.cols)]
-    if not rows:
-        return RationalMatrix.zeros(m.rows, 0)
-    _rref(rows)
-    kept = [r for r in rows if any(x != 0 for x in r)]
-    if not kept:
-        return RationalMatrix.zeros(m.rows, 0)
-    return RationalMatrix.from_rows(kept).transpose()
+    return _echelon_basis(
+        _cleared(m.column_list(j) for j in range(m.cols)), m.rows)
+
+
+def _echelon_basis(vectors, n):
+    """The reduced column echelon form of the span of integer vectors of
+    length n, as an n x rank matrix; vectors is consumed."""
+    pivots, d = _gauss_jordan(vectors)
+    r = len(pivots)
+    return RationalMatrix(n, r, [Fraction(vectors[j][i], d)
+                                 for i in range(n) for j in range(r)])
 
 
 def column_space(a):
@@ -412,30 +393,20 @@ def column_space(a):
 def kernel_basis(a):
     """Canonical basis of the exact null space {v : a v = 0}.
 
-    Forward elimination is fraction-free; back-substitution from the
-    integer echelon produces one basis vector per free column, and the
-    result is normalised to reduced column echelon form.
+    With d times the reduced row echelon form in m, the free column f
+    gives the integer null vector with d at f and -m[r][f] at pivot
+    column p_r; the result is normalised to reduced column echelon form.
     """
     m = a._int_rows_cleared()
-    nrows, ncols = a.rows, a.cols
-    rank_, pivots = _bareiss_forward(m)
-    free = [c for c in range(ncols) if c not in pivots]
+    pivots, d = _gauss_jordan(m)
     vectors = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r in range(rank_ - 1, -1, -1):
-            p = pivots[r]
-            if p > f:
-                continue
-            s = sum((Fraction(m[r][j]) * v[j] for j in range(p + 1, ncols)),
-                    Fraction(0))
-            v[p] = -s / m[r][p]
+    for f in (c for c in range(a.cols) if c not in pivots):
+        v = [0] * a.cols
+        v[f] = d
+        for r, p in enumerate(pivots):
+            v[p] = -m[r][f]
         vectors.append(v)
-    if not vectors:
-        return Subspace(ncols, RationalMatrix.zeros(ncols, 0))
-    basis = RationalMatrix.from_rows(vectors).transpose()
-    return Subspace(ncols, column_rref(basis))
+    return Subspace(a.cols, _echelon_basis(vectors, a.cols))
 
 
 def solve_columns(b, c):
@@ -443,15 +414,15 @@ def solve_columns(b, c):
     DomainError when the system is inconsistent."""
     if b.rows != c.rows:
         raise ShapeError("solve needs matching row counts")
-    rows = [b.row_list(i) + c.row_list(i) for i in range(b.rows)]
-    pivots = _rref(rows)
+    rows = _cleared(b.row_list(i) + c.row_list(i) for i in range(b.rows))
+    pivots, d = _gauss_jordan(rows)
     if any(p >= b.cols for p in pivots):
         raise DomainError("inconsistent linear system")
     if len(pivots) != b.cols:
         raise InvariantError("solve requires full column rank")
-    sol_rows = [rows[i][b.cols:] for i in range(b.cols)]
-    return RationalMatrix.from_rows(sol_rows) if sol_rows else \
-        RationalMatrix.zeros(0, c.cols)
+    return RationalMatrix(b.cols, c.cols, [Fraction(x, d)
+                                           for row in rows[:b.cols]
+                                           for x in row[b.cols:]])
 
 
 def inverse(a):

@@ -2,8 +2,10 @@
 
 Everything in here deliberately avoids the code paths it is used to check:
 determinants of polynomial matrices go through plain cofactor expansion
-(the library uses a trace recursion), ranks go through textbook Gaussian
-elimination over Fractions (the library uses fraction-free elimination),
+(the library uses a trace recursion), ranks, reduced echelon forms,
+kernels and solutions go through textbook Gauss-Jordan elimination over
+Fractions (the library runs it fraction-free on integer rows and divides
+once at the end),
 invariant factors come from gcds of minors (the library uses a cyclic
 decomposition), polynomial gcds and division run Euclid and long division
 over Fractions (the library uses integer pseudo-remainders and integer
@@ -93,6 +95,79 @@ def rref_rank(rows):
                 m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def rref_oracle(rows):
+    """Reduced row echelon form over Fractions, in place.
+
+    Returns the pivot column list.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def column_rref_oracle(m):
+    """Reduced column echelon form of a RationalMatrix: the nonzero rows
+    of the Fraction RREF of its transpose, transposed back."""
+    rows = [m.column_list(j) for j in range(m.cols)]
+    pivots = rref_oracle(rows)
+    return RationalMatrix(m.rows, len(pivots), [
+        rows[j][i] for i in range(m.rows) for j in range(len(pivots))])
+
+
+def kernel_oracle(m):
+    """Reduced column echelon basis of the null space of a RationalMatrix,
+    read off its Fraction RREF: one vector per free column f, 1 at f and
+    -rref[r][f] at pivot column p_r."""
+    rows = [m.row_list(i) for i in range(m.rows)]
+    pivots = rref_oracle(rows)
+    vectors = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [Fraction(int(j == f)) for j in range(m.cols)]
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        vectors.append(v)
+    return column_rref_oracle(RationalMatrix(
+        m.cols, len(vectors),
+        [v[i] for i in range(m.cols) for v in vectors]))
+
+
+def solve_oracle(b, c):
+    """The x with b x = c from the Fraction RREF of [b | c]; the string
+    "inconsistent" when a pivot falls in c, "rank deficient" when b has
+    dependent columns."""
+    rows = [b.row_list(i) + c.row_list(i) for i in range(b.rows)]
+    pivots = rref_oracle(rows)
+    if any(p >= b.cols for p in pivots):
+        return "inconsistent"
+    if len(pivots) != b.cols:
+        return "rank deficient"
+    return RationalMatrix(b.cols, c.cols,
+                          [x for row in rows[:b.cols] for x in row[b.cols:]])
 
 
 def mat_mul_oracle(a, b):
@@ -261,11 +336,12 @@ def random_shift_graph(rng, max_vertices=4):
 
 __all__ = [
     "block_diag", "char_reversed_oracle", "charpoly_cofactor",
-    "charpoly_oracle", "companion", "conjugate", "det_poly",
-    "invariant_factors_oracle", "jordan_block", "mat_mul_oracle",
-    "poly_divmod_oracle", "poly_gcd_oracle", "quadratic_companion_block",
-    "random_int_matrix", "random_rational_matrix", "random_shift_graph",
-    "random_unimodular", "rref_rank",
+    "charpoly_oracle", "column_rref_oracle", "companion", "conjugate",
+    "det_poly", "invariant_factors_oracle", "jordan_block",
+    "kernel_oracle", "mat_mul_oracle", "poly_divmod_oracle",
+    "poly_gcd_oracle", "quadratic_companion_block", "random_int_matrix",
+    "random_rational_matrix", "random_shift_graph", "random_unimodular",
+    "rref_oracle", "rref_rank", "solve_oracle",
 ]
 
 

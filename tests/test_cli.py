@@ -176,6 +176,24 @@ class TestVerifyCommand:
         assert code == 0, err
         assert "trace formula matches enumeration for n = 1..1200" in out
 
+    def test_periodic_check_budget_covers_all_periods(self, capsys,
+                                                      tmp_path):
+        # Each period alone is cheap on the 2-cycle; the sum over 100000
+        # periods is not, so the whole check reads skipped, quickly.
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({"basic_sets": [{
+            "name": "cycle", "index": 1,
+            "graph": {"adjacency": [[0, 1], [1, 0]],
+                      "orientation": [1, 1]}}]}), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", str(path),
+                                 "--max-enum", "100000", "--format", "json")
+        assert time.perf_counter() - start < 60
+        assert code == 0, err
+        periodic = [c for c in json.loads(out)["checks"]
+                    if c["check"] == "periodic_counts"]
+        assert [c["status"] for c in periodic] == ["skipped"]
+
     @pytest.mark.parametrize("max_enum", ["0", "-3"])
     def test_max_enum_below_one_is_user_error(self, capsys, fixture_path,
                                               max_enum):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from conley.dynamics import (BasicSetSpec, StructureMatrix, SystemSpec,
-                             VertexShiftSpec, build_structure_matrix,
+from conley.dynamics import (BasicSetSpec, StepBudget, StructureMatrix,
+                             SystemSpec, VertexShiftSpec,
+                             build_structure_matrix,
                              conley_index, count_periodic,
                              enumerate_periodic_oracle, lefschetz_series,
                              morse_split_check, zeta_basic_set,
@@ -13,7 +14,7 @@ from conley.linalg import RationalMatrix
 from conley.poly import IntPolynomial, RationalFunction
 from conley.spectral import is_similar
 
-from oracles import random_int_matrix, random_shift_graph
+from oracles import mat_mul_oracle, random_int_matrix, random_shift_graph
 
 
 def P(*coeffs):
@@ -123,6 +124,20 @@ class TestPeriodicCounts:
         with pytest.raises(ResourceError):
             enumerate_periodic_oracle(full8, 7)
 
+    def test_budget_is_shared_across_calls(self):
+        cycle = VertexShiftSpec.from_lists([[0, 1], [1, 0]], [1, 1])
+        budget = StepBudget(10)
+        # Period 3 on the 2-cycle pops 3 stack entries per start symbol.
+        assert enumerate_periodic_oracle(cycle, 3, budget=budget) == 0
+        assert budget.left == 4
+        with pytest.raises(ResourceError, match="more than 10 steps"):
+            enumerate_periodic_oracle(cycle, 3, budget=budget)
+
+    def test_budget_above_the_call_cap_keeps_the_call_cap(self):
+        full8 = VertexShiftSpec.from_lists([[1] * 8] * 8, [1] * 8)
+        with pytest.raises(ResourceError, match="period 7 takes more"):
+            enumerate_periodic_oracle(full8, 7, budget=StepBudget(10**9))
+
     def test_trace_formula_matches_enumeration(self):
         rng = random.Random(211)
         for _ in range(60):
@@ -206,6 +221,19 @@ class TestLefschetz:
     def test_length_validated(self):
         with pytest.raises(DomainError):
             lefschetz_series(TORUS_P, 2, 0)
+
+    def test_matches_fraction_powers(self):
+        rng = random.Random(229)
+        for _ in range(40):
+            n = rng.randint(0, 5)
+            a = random_int_matrix(rng, n)
+            b = BasicSetSpec("s", StructureMatrix(a), 0)
+            power = RationalMatrix.identity(n)
+            expected = []
+            for _ in range(12):
+                power = mat_mul_oracle(power, a)
+                expected.append(power.trace())
+            assert lefschetz_series(b, 0, 12) == expected
 
     def test_tail_matches_nonnilpotent_part(self):
         from conley.spectral import nonnilpotent_part

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conley.errors import DomainError, ShapeError
+from conley.errors import DomainError, InvariantError, ShapeError
 from conley.linalg import (RationalMatrix, Subspace, char_reversed,
                            char_reversed_rational, column_rref, column_space,
                            inverse, kernel_basis, mat_mul, rank,
@@ -12,8 +12,10 @@ from conley.linalg import (RationalMatrix, Subspace, char_reversed,
 from conley.poly import IntPolynomial
 
 from oracles import (char_reversed_oracle, charpoly_cofactor,
-                     charpoly_oracle, mat_mul_oracle, random_int_matrix,
-                     random_rational_matrix, rref_rank)
+                     charpoly_oracle, column_rref_oracle, kernel_oracle,
+                     mat_mul_oracle, random_int_matrix,
+                     random_rational_matrix, rref_oracle, rref_rank,
+                     solve_oracle)
 
 HORSESHOE = RationalMatrix.from_rows([[1, -1], [1, -1]])
 TORUS = RationalMatrix.from_rows([[0, 1], [-1, 1]])
@@ -263,3 +265,111 @@ class TestSolveAndInverse:
         empty = RationalMatrix.zeros(0, 0)
         assert empty.charpoly() == (Fraction(1),)
         assert char_reversed(empty) == IntPolynomial([1])
+
+
+# Entry families for the elimination properties: small rationals, integers
+# far past a machine word, and mostly-zero integers.
+ENTRIES = {
+    "rational": st.fractions(min_value=-6, max_value=6, max_denominator=7),
+    "large": st.integers(-2**90, 2**90).map(Fraction),
+    "sparse": st.sampled_from([0, 0, 0, 0, 1, -1, 3]).map(Fraction),
+}
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """A RationalMatrix with 0..5 rows and columns (unless given), of
+    either full random entries or rank at most k, as a product of n x k
+    and k x m factors (k = 0 gives the zero matrix)."""
+    n = draw(st.integers(0, 5)) if rows is None else rows
+    m = draw(st.integers(0, 5)) if cols is None else cols
+    entries = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    if draw(st.booleans()):
+        return RationalMatrix(n, m, draw(st.lists(
+            entries, min_size=n * m, max_size=n * m)))
+    k = draw(st.integers(0, 3))
+    left = RationalMatrix(n, k, draw(st.lists(
+        entries, min_size=n * k, max_size=n * k)))
+    right = RationalMatrix(k, m, draw(st.lists(
+        entries, min_size=k * m, max_size=k * m)))
+    return mat_mul_oracle(left, right)
+
+
+class TestGaussJordanAgainstOracle:
+    """Rank, column echelon form, kernel and solve share one fraction-free
+    Gauss-Jordan kernel; check each against Fraction Gauss-Jordan."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(matrices())
+    def test_rank(self, a):
+        assert a.rank() == len(rref_oracle(a.tolist()))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(matrices())
+    def test_column_rref(self, a):
+        basis = column_rref(a)
+        assert basis == column_rref_oracle(a)
+        assert column_space(a).basis == basis
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(matrices())
+    def test_kernel_basis(self, a):
+        space = kernel_basis(a)
+        assert space.basis == kernel_oracle(a)
+        assert a * space.basis == RationalMatrix.zeros(a.rows, space.dim)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 4), st.integers(0, 3),
+           st.data())
+    def test_solve_columns(self, n, k, p, data):
+        b = data.draw(matrices(rows=n, cols=k))
+        if data.draw(st.booleans()):
+            c = b * data.draw(matrices(rows=k, cols=p))
+        else:
+            c = data.draw(matrices(rows=n, cols=p))
+        expected = solve_oracle(b, c)
+        if expected == "inconsistent":
+            with pytest.raises(DomainError):
+                solve_columns(b, c)
+        elif expected == "rank deficient":
+            with pytest.raises(InvariantError):
+                solve_columns(b, c)
+        else:
+            x = solve_columns(b, c)
+            assert x == expected
+            assert b * x == c
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_shapes(self, shape):
+        a = RationalMatrix.zeros(*shape)
+        assert a.rank() == 0
+        assert column_rref(a) == RationalMatrix.zeros(shape[0], 0)
+        assert kernel_basis(a).basis == RationalMatrix.identity(shape[1])
+        assert solve_columns(RationalMatrix.zeros(shape[0], 0), a) == \
+            RationalMatrix.zeros(0, shape[1])
+
+    def test_inconsistent_and_rank_deficient_systems(self):
+        b = RationalMatrix.from_rows([[1, 2], [2, 4], [0, 0]])
+        with pytest.raises(DomainError):
+            solve_columns(b, RationalMatrix.column([1, 2, 1]))
+        with pytest.raises(InvariantError):
+            solve_columns(b, RationalMatrix.column([1, 2, 0]))
+
+    def test_large_entries_stay_exact(self):
+        big = 2**200 + 1
+        a = RationalMatrix.from_rows([[big, big + 1, 1],
+                                      [big - 1, big, Fraction(1, big)]])
+        assert column_rref(a) == column_rref_oracle(a)
+        assert kernel_basis(a).basis == kernel_oracle(a)
+
+
+class TestPowers:
+    def test_power_matches_repeated_products(self):
+        rng = random.Random(37)
+        for _ in range(12):
+            n = rng.randint(0, 4)
+            a = random_rational_matrix(rng, n, n, max_den=3, bound=3)
+            expected = RationalMatrix.identity(n)
+            for k in range(21):
+                assert a ** k == expected
+                expected = mat_mul(expected, a)
