@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .errors import (ConleyError, InvariantError, ResourceError,
                      ValidationError)
@@ -23,38 +24,33 @@ EXIT_USER_ERROR = 2
 EXIT_INVARIANT = 3
 
 
+@cache
 def _build_parser():
+    """The argument parser, built on the first call and shared by every
+    later one; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="conley",
         description="Exact Conley indices, Jordan block profiles, zeta "
                     "functions and Morse checks for basic sets described "
                     "by structure matrices or signed transition graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    commands = {}
+    for name, help_text in (
+            ("index", "Conley index of every basic set"),
+            ("jordan", "block profile of every structure matrix"),
+            ("zeta", "homology zeta functions and their product"),
+            ("morse", "Morse-inequality polynomial check"),
+            ("verify", "run the independent cross-check oracles")):
+        p = commands[name] = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="system description (JSON)")
         p.add_argument("--format", choices=("text", "json"),
                        default="text", help="output format")
-
-    p = sub.add_parser("index",
-                       help="Conley index of every basic set")
-    common(p)
-    p = sub.add_parser("jordan",
-                       help="block profile of every structure matrix")
-    common(p)
-    p = sub.add_parser("zeta",
-                       help="homology zeta functions and their product")
-    common(p)
-    p = sub.add_parser("morse",
-                       help="Morse-inequality polynomial check")
-    common(p)
-    p.add_argument("--q", type=int, required=True,
-                   help="check the identity through degree q")
-    p = sub.add_parser("verify",
-                       help="run the independent cross-check oracles")
-    common(p)
-    p.add_argument("--max-enum", type=int, default=6,
-                   help="largest period for brute-force enumeration")
+    commands["morse"].add_argument(
+        "--q", type=int, required=True,
+        help="check the identity through degree q")
+    commands["verify"].add_argument(
+        "--max-enum", type=int, default=6,
+        help="largest period for brute-force enumeration")
     return parser
 
 

@@ -8,6 +8,8 @@ is built.  Rank, kernel, column echelon form and solve share one
 fraction-free (Bareiss) Gauss-Jordan elimination on a copy cleared row by
 row: every intermediate is an integer minor of the input, and the reduced
 echelon form is d times an integer matrix, divided by d once at the end.
+The cyclic decomposition behind ``spectral.invariant_factors`` calls the
+same elimination directly on its integer Krylov chains.
 Subspaces carry a canonical basis (the reduced column echelon form), so
 equal subspaces compare equal entrywise.
 """
@@ -171,13 +173,6 @@ class RationalMatrix:
             entries.extend(other.row_list(i))
         return RationalMatrix(self.rows, self.cols + other.cols, entries)
 
-    def take_columns(self, indices):
-        entries = []
-        for i in range(self.rows):
-            row = self.row_list(i)
-            entries.extend(row[j] for j in indices)
-        return RationalMatrix(self.rows, len(indices), entries)
-
     def _require_square(self, what):
         if not self.is_square:
             raise ShapeError(f"{what} needs a square matrix, "
@@ -201,14 +196,9 @@ class RationalMatrix:
             entries = [Fraction(x, denom) for row in rows for x in row]
         return cls(len(rows), ncols, entries)
 
-    def _int_rows_cleared(self):
-        """Rows scaled by positive integers to clear denominators; this
-        preserves rank and kernel."""
-        return _cleared(self.row_list(i) for i in range(self.rows))
-
     def rank(self):
         """Exact rank: the pivot count of fraction-free elimination."""
-        return len(_gauss_jordan(self._int_rows_cleared())[0])
+        return len(_gauss_jordan(_cleared(self.tolist()))[0])
 
     def charpoly(self):
         """Monic characteristic polynomial det(tI - self), ascending
@@ -310,7 +300,7 @@ def rank(a):
 
 def _cleared(rows):
     """Integer lists of Fraction rows, each scaled by a positive integer
-    to clear its denominators."""
+    to clear its denominators; this preserves rank and kernel."""
     out = []
     for row in rows:
         mult = lcm(*(x.denominator for x in row))
@@ -364,10 +354,8 @@ class Subspace:
         vec = [_as_fraction(x) for x in vector]
         if len(vec) != self.ambient_dim:
             raise ShapeError("vector length does not match ambient space")
-        if self.dim == 0:
-            return all(x == 0 for x in vec)
-        aug = self.basis.augment(RationalMatrix.column(vec))
-        return aug.rank() == self.dim
+        vectors = [self.basis.column_list(j) for j in range(self.dim)]
+        return len(_gauss_jordan(_cleared(vectors + [vec]))[0]) == self.dim
 
 
 def column_rref(m):
@@ -397,7 +385,7 @@ def kernel_basis(a):
     gives the integer null vector with d at f and -m[r][f] at pivot
     column p_r; the result is normalised to reduced column echelon form.
     """
-    m = a._int_rows_cleared()
+    m = _cleared(a.tolist())
     pivots, d = _gauss_jordan(m)
     vectors = []
     for f in (c for c in range(a.cols) if c not in pivots):

@@ -5,21 +5,23 @@ Similarity over the rationals is certified by invariant factors (the
 diagonal of the Smith normal form of tI - A over Q[t]), obtained from a
 cyclic decomposition: the minimal polynomial is the annihilator of a
 suitable vector, and the rest comes from the map induced on the quotient
-by that vector's cyclic subspace.  The block structure per irreducible
-factor of the characteristic polynomial is read off the same invariant
-factors, so the index and the block profile share one computation and
-never leave exact arithmetic.
+by that vector's cyclic subspace.  All of it runs on integer rows: one
+fraction-free elimination of the Krylov chain gives the annihilator, and
+a second, of the chain beside the identity, the quotient map.  The block
+structure per irreducible factor of the characteristic polynomial is
+read off the same invariant factors, so the index and the block profile
+share one computation and never leave exact arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
-from math import isqrt, lcm
+from math import gcd, isqrt
+from operator import mul
 
 from .errors import DomainError, InvariantError
-from .linalg import (RationalMatrix, Subspace, column_space, kernel_basis,
-                     solve_columns)
+from .linalg import (RationalMatrix, Subspace, _gauss_jordan, _int_product,
+                     column_space, kernel_basis, solve_columns)
 from .poly import (T, IntPolynomial, exact_div, poly_gcd,
                    squarefree_decomposition)
 
@@ -94,60 +96,71 @@ def nonnilpotent_part(a):
 # ---------------------------------------------------------------------------
 # invariant factors via a cyclic decomposition
 
-def _annihilator(m, v):
-    """The annihilator p of v under m (the monic p of least degree with
-    p(m) v = 0), scaled to be primitive with positive leading coefficient,
-    and the vectors (D m)^k v, k < deg p, which span the cyclic subspace
-    of v; v is an integer list and D the common denominator of m.
-
-    The integer matrix D m keeps the chain integral; a dependency c_k
-    among the (D m)^k v is the dependency c_k D^k among the m^k v.
-    """
-    denom, rows = m._scaled_int_rows()
-    chain = [v]
-    for _ in range(m.rows):
-        w = chain[-1]
-        chain.append([sum(x * y for x, y in zip(row, w)) for row in rows])
-    d = RationalMatrix.from_rows(chain).rank()
-    dependency = kernel_basis(RationalMatrix.from_rows(chain[:d + 1])
-                              .transpose()).basis
-    coeffs = [c * denom ** k
-              for k, c in enumerate(dependency.column_list(0))]
-    scale = lcm(*(c.denominator for c in coeffs))
-    p = IntPolynomial([int(c * scale) for c in coeffs]).normalized()
-    return p, chain[:d]
+def _apply(rows, w):
+    """The integer matrix with these rows times the integer vector w."""
+    return [sum(map(mul, row, w)) for row in rows]
 
 
-def _split_cyclic(m):
+def _kills(rows, q, j):
+    """True when q(B) e_j = 0, B the integer matrix with these rows and q
+    ascending integer coefficients (Horner's rule)."""
+    w = [0] * len(rows)
+    for c in reversed(q):
+        w = _apply(rows, w)
+        w[j] += c
+    return not any(w)
+
+
+def _split_cyclic(denom, rows):
     """(minimal polynomial of m, map induced on the quotient by a cyclic
-    subspace whose annihilator is that polynomial).
+    subspace whose annihilator is that polynomial) for m = rows / denom,
+    int rows over a positive int denom; the quotient comes back in the
+    same form, in lowest terms.
 
     Such a subspace has an m-invariant complement, so the quotient map
-    carries exactly the remaining invariant factors.  Any n of the trial
-    vectors (1, x, x^2, ...) for x = 1, 2, ... are independent
-    (Vandermonde), so fewer than n of them lie in each of the finitely
-    many proper subspaces where the annihilator is a proper divisor of the
-    minimal polynomial, and the search ends.
+    carries exactly the remaining invariant factors.  A vector misses the
+    minimal polynomial mu only inside ker (mu / r)(m) for one of the at
+    most n irreducible factors r of mu; any n trial vectors (1, x, x^2,
+    ...) are independent (Vandermonde), so each such proper subspace holds
+    at most n - 1 of them and one of the first n (n - 1) + 1 succeeds.
     """
-    n = m.rows
-    for x in count(1):
-        p, chain = _annihilator(m, [x ** i for i in range(n)])
-        d = p.degree
+    n = len(rows)
+    for x in range(1, n * (n - 1) + 2):
+        # The Krylov chain of v under B = denom * m stays integral; a
+        # dependency c_k among the B^k v is c_k denom^k among the m^k v.
+        chain = [[x ** i for i in range(n)]]
+        for _ in range(n):
+            chain.append(_apply(rows, chain[-1]))
+        krylov = [list(col) for col in zip(*chain)]
+        pivots, last = _gauss_jordan(krylov)
+        d = len(pivots)
+        # The pivots are columns 0..d-1, and column d is last times the
+        # coordinates of B^d v on them: q(B) v = 0.
+        q = [-krylov[k][d] for k in range(d)] + [last]
+        p = IntPolynomial([c * denom ** k
+                           for k, c in enumerate(q)]).normalized()
         if d == n:
-            return p, RationalMatrix.zeros(0, 0)
-        # Unit vectors off the pivot rows of the cyclic subspace complete
-        # its basis; p(m) = 0 once p also kills them.
-        basis = column_space(RationalMatrix.from_rows(chain).transpose()).basis
-        pivots = {next(i for i in range(n) if basis[i, j] != 0)
-                  for j in range(d)}
-        rest = [i for i in range(n) if i not in pivots]
-        units = RationalMatrix.identity(n).take_columns(rest)
-        zero = value = RationalMatrix.zeros(n, len(rest))
-        for c in reversed(p.coeffs):
-            value = m * value + c * units
-        if value == zero:
-            coords = solve_columns(basis.augment(units), m * units)
-            return p, RationalMatrix.from_rows(coords.tolist()[d:])
+            return p, 1, []
+        # Eliminating [chain | I] inverts the basis of the chain and the
+        # unit vectors at its pivots among the identity columns; rows d..
+        # of its identity block are last times the quotient coordinates.
+        basis = [[v[i] for v in chain[:d]] + [int(i == j) for j in range(n)]
+                 for i in range(n)]
+        pivots, last = _gauss_jordan(basis)
+        if len(pivots) != n:
+            raise InvariantError("Krylov chain and unit vectors do not "
+                                 "span the space")
+        units = [c - d for c in pivots[d:]]
+        # q(B) is a nonzero multiple of denom^d p(m), which kills the
+        # chain, so p(m) = 0 once q(B) kills the units too.
+        if all(_kills(rows, q, j) for j in units):
+            quotient = _int_product([row[d:] for row in basis[d:]],
+                                    [[row[j] for row in rows] for j in units])
+            scale = last * denom
+            g = gcd(scale, *(y for row in quotient for y in row))
+            g = g if scale > 0 else -g
+            return p, scale // g, [[y // g for y in row] for row in quotient]
+    raise InvariantError("no trial vector reached the minimal polynomial")
 
 
 def invariant_factors(a):
@@ -158,9 +171,10 @@ def invariant_factors(a):
     Returned primitive and integral (monic for integer input).
     """
     a._require_square("invariant factors")
+    denom, rows = a._scaled_int_rows()
     factors = []
-    while a.rows:
-        p, a = _split_cyclic(a)
+    while rows:
+        p, denom, rows = _split_cyclic(denom, rows)
         factors.append(p)
     factors.reverse()
     return factors

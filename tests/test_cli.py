@@ -323,6 +323,29 @@ class TestDeterminism:
         assert out1.endswith("\n")
 
 
+def test_parser_reused_across_calls_keeps_no_state(capsys, fixture_path):
+    # The parser is built once per process; a call that fails parsing
+    # and later calls with other options must each behave as alone.
+    torus = fixture_path("torus.json")
+    calls = [["verify", torus, "--format", "json", "--max-enum", "3"],
+             ["verify", torus, "--max-enum", "x"],
+             ["morse", torus],
+             ["verify", torus]]
+    codes = []
+    for argv in calls:
+        alone = subprocess.run([sys.executable, "-m", "conley.cli", *argv],
+                               capture_output=True, text=True, check=False)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (alone.returncode, alone.stdout, alone.stderr)
+        codes.append(code)
+    assert codes == [0, 2, 2, 0]
+
+
 def test_console_entry_point(fixture_path):
     result = subprocess.run(
         [sys.executable, "-m", "conley.cli", "zeta",

@@ -1,13 +1,15 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conley.errors import DomainError, ShapeError
+from conley import linalg, spectral
+from conley.errors import DomainError, InvariantError, ShapeError
 from conley.linalg import (RationalMatrix, char_reversed,
                            char_reversed_rational, kernel_basis)
-from conley.poly import IntPolynomial, poly_mul
+from conley.poly import T, IntPolynomial, exact_div, poly_mul
 from conley.spectral import (KIND_COMPLEX, KIND_RATIONAL, KIND_UNRESOLVED,
                              generalized_image, generalized_kernel,
                              invariant_factors, is_similar, jordan_profile,
@@ -386,3 +388,125 @@ def test_planted_mixed_residuals_recovered(case):
     a, expected = case
     profile = jordan_profile(a)
     assert {e.factor: e.block_sizes for e in profile.entries} == expected
+
+
+def _drop_last_pivot(when):
+    """A corrupted elimination: the real one, minus its last pivot on the
+    matrices for which when(matrix, pivots) holds."""
+    def eliminate(m):
+        pivots, d = linalg._gauss_jordan(m)
+        return (pivots[:-1] if when(m, pivots) else pivots), d
+    return eliminate
+
+
+@pytest.mark.parametrize("when, message", [
+    # Every elimination: the chain and the unit vectors stop spanning.
+    (lambda m, pivots: True, "do not span"),
+    # Only rank-deficient ones, i.e. Krylov chains of a derogatory
+    # matrix: every trial vector fails, and the search stops at its bound.
+    (lambda m, pivots: len(pivots) < len(m), "no trial vector"),
+], ids=["every", "rank_deficient"])
+def test_corrupted_elimination_raises_promptly(monkeypatch, when, message):
+    a = block_diag([companion([-2, 0, 1])] * 2 + [companion([-1, 1])])
+    monkeypatch.setattr(spectral, "_gauss_jordan", _drop_last_pivot(when))
+    start = time.perf_counter()
+    with pytest.raises(InvariantError, match=message):
+        invariant_factors(a)
+    assert time.perf_counter() - start < 1.0
+
+
+def _fraction(rng, nonzero=False):
+    num = rng.choice([-3, -2, -1, 1, 2, 3]) if nonzero else rng.randint(-3, 3)
+    return Fraction(num, rng.randint(1, 7))
+
+
+def _rational_conjugator(rng, n):
+    """L U with L unit lower triangular and U upper triangular with a
+    nonzero diagonal, all entries of denominator at most 7: invertible."""
+    lower = RationalMatrix.from_rows(
+        [[_fraction(rng) if j < i else int(i == j) for j in range(n)]
+         for i in range(n)])
+    upper = RationalMatrix.from_rows(
+        [[_fraction(rng, nonzero=i == j) if j >= i else 0
+          for j in range(n)] for i in range(n)])
+    return lower * upper
+
+
+@st.composite
+def rational_derogatory(draw):
+    """A rational conjugate of block_diag(companion(f) for f in chain),
+    with chain an invariant-factor chain of total degree at most 6 in
+    which factors repeat, so that several quotients are nontrivial."""
+    chain = [draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2))
+             + [1]]
+    for step in draw(st.lists(st.sampled_from(
+            [[1], [1], [1], [0, 1], [-1, 1], [2, 1], [1, 0, 1]]),
+            min_size=1, max_size=4)):
+        nxt = list(poly_mul(P(*chain[-1]), P(*step)).coeffs)
+        if sum(len(f) - 1 for f in chain) + len(nxt) - 1 > 6:
+            break
+        chain.append(nxt)
+    base = block_diag([companion(f) for f in chain])
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    return conjugate(_rational_conjugator(rng, base.rows), base), chain
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(rational_derogatory())
+def test_rational_derogatory_matches_determinantal_divisors(case):
+    a, chain = case
+    got = invariant_factors(a)
+    assert got == [P(*f) for f in chain]
+    assert monic(got) == invariant_factors_oracle(a)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rational_derogatory())
+def test_quotient_maps_come_back_in_lowest_terms(case):
+    # Each quotient is (denom, rows) with denom the least common
+    # denominator, positive, as _scaled_int_rows gives it.
+    a, chain = case
+    denom, rows = a._scaled_int_rows()
+    for _ in chain:
+        _, denom, rows = spectral._split_cyclic(denom, rows)
+        again = RationalMatrix._from_scaled(rows, len(rows), denom)
+        assert again._scaled_int_rows() == (denom, rows)
+    assert rows == []
+
+
+def _without_t(factors):
+    """Invariant factors with every power of t divided out and the
+    resulting constants dropped."""
+    out = []
+    for f in factors:
+        while f.coefficient(0) == 0:
+            f = exact_div(f, T)
+        if f.degree > 0:
+            out.append(f)
+    return out
+
+
+@st.composite
+def singular_matrices(draw):
+    """A unimodular conjugate of a random integer block beside nilpotent
+    Jordan blocks, n at most 8; the random block may be singular too."""
+    k = draw(st.integers(0, 4))
+    entries = draw(st.lists(st.integers(-2, 2), min_size=k * k,
+                            max_size=k * k))
+    blocks = [RationalMatrix(k, k, entries)] if k else []
+    blocks += [jordan_block(0, size) for size in
+               draw(st.lists(st.integers(1, 2), max_size=2))]
+    if not blocks:
+        return RationalMatrix.zeros(0, 0)
+    base = block_diag(blocks)
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    return conjugate(random_unimodular(rng, base.rows), base)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(singular_matrices())
+def test_fitting_nonnilpotent_part_drops_powers_of_t(a):
+    # Fitting: A is conjugate to A+ beside a nilpotent map, so the
+    # invariant factors of A+ are those of A without their powers of t.
+    plus = nonnilpotent_part(a).matrix
+    assert invariant_factors(plus) == _without_t(invariant_factors(a))
