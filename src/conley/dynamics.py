@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, InvariantError, ResourceError, \
     ValidationError
-from .linalg import (RationalMatrix, _columns, _int_product, char_reversed,
-                     char_reversed_rational)
+from .linalg import RationalMatrix, char_reversed, char_reversed_rational
 from .poly import RationalFunction
 from .spectral import invariant_factors, nonnilpotent_part
 
@@ -78,7 +77,8 @@ class StructureMatrix:
             raise ValidationError("structure matrix entries must be "
                                   "integers")
         if not self.raw:
-            bad = [x for x in self.matrix._e if abs(x) > 1]
+            bad = [x for row in self.matrix.to_int_rows() for x in row
+                   if abs(x) > 1]
             if bad:
                 raise InvariantError("shift-derived structure matrix has "
                                      f"entries outside -1..1: {bad}")
@@ -288,15 +288,13 @@ def lefschetz_series(basic, ambient_dim, m):
     power on these equal the traces of the nonnilpotent part."""
     if m < 1:
         raise DomainError("series length must be at least 1")
-    rows = basic.structure.matrix.to_int_rows()
-    n = len(rows)
-    cols = _columns(rows, n)
+    a = basic.structure.matrix
     out = []
-    power = rows
+    power = a
     for k in range(m):
         if k:
-            power = _int_product(power, cols)
-        out.append(sum(power[i][i] for i in range(n)))
+            power = power * a
+        out.append(int(power.trace()))
     return out
 
 

@@ -1,15 +1,17 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are immutable, stored row-major as Fractions.  The hot kernels
-run on plain integers: products, powers and the characteristic polynomial
-work on D times the matrix as int rows, with D the common denominator of
-its entries, and divide by the matching power of D once, when the result
-is built.  Rank, kernel, column echelon form and solve share one
-fraction-free (Bareiss) Gauss-Jordan elimination on a copy cleared row by
-row: every intermediate is an integer minor of the input, and the reduced
-echelon form is d times an integer matrix, divided by d once at the end.
-The cyclic decomposition behind ``spectral.invariant_factors`` calls the
-same elimination directly on its integer Krylov chains.
+A matrix is stored as its least common denominator D > 0 and the
+row-major integer entries of D times the matrix, in lowest terms (D and
+the entries share no factor), so equal matrices have equal storage and an
+integer matrix has D = 1; entries leave as Fractions.  Every kernel reads
+the stored integers.  Products, powers and the characteristic polynomial
+bring in the matching power of D once, when the result is built.  Rank,
+kernel, column echelon form and solve share one fraction-free (Bareiss)
+Gauss-Jordan elimination: every intermediate is an integer minor of the
+input, and the reduced echelon form is d times an integer matrix, which
+becomes the stored form with denominator d.  The cyclic decomposition
+behind ``spectral.invariant_factors`` calls the same elimination directly
+on its integer Krylov chains.
 Subspaces carry a canonical basis (the reduced column echelon form), so
 equal subspaces compare equal entrywise.
 """
@@ -17,7 +19,8 @@ equal subspaces compare equal entrywise.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DomainError, InvariantError, ShapeError
@@ -28,28 +31,38 @@ from .poly import IntPolynomial
 Rational = Fraction
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise DomainError(f"matrix entry {x!r} is not a rational number")
+def _scaled(values):
+    """(D, ints): D the least common denominator of a sequence of ints and
+    Fractions, and ints the tuple of its members times D; DomainError for
+    any other member."""
+    values = tuple(values)
+    denom = 1
+    for x in values:
+        if type(x) is int:
+            continue
+        if isinstance(x, Fraction):
+            denom = lcm(denom, x.denominator)
+        elif not isinstance(x, int) or isinstance(x, bool):
+            raise DomainError(f"matrix entry {x!r} is not a rational number")
+    if denom == 1:
+        return 1, tuple(map(int, values))
+    return denom, tuple(x.numerator * (denom // x.denominator)
+                        for x in values)
 
 
 class RationalMatrix:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable dense matrix of exact rationals, stored as a positive
+    common denominator and the integer entries of the matrix times it."""
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "_d", "_e")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(_as_fraction(x) for x in entries)
-        if len(entries) != rows * cols:
+        denom, flat = _scaled(entries)
+        if len(flat) != rows * cols:
             raise ShapeError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, "
-                f"got {len(entries)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_e", entries)
+                f"got {len(flat)}")
+        self.rows, self.cols, self._d, self._e = rows, cols, denom, flat
 
     @classmethod
     def from_rows(cls, rows):
@@ -63,12 +76,12 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [Fraction(int(i == j))
-                          for i in range(n) for j in range(n)])
+        return cls._from_scaled(
+            [[int(i == j) for j in range(n)] for i in range(n)], n, 1)
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
+        return cls._from_scaled([[0] * cols for _ in range(rows)], cols, 1)
 
     @classmethod
     def column(cls, entries):
@@ -79,13 +92,15 @@ class RationalMatrix:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        return self._e[i * self.cols + j]
+        return Fraction(self._e[i * self.cols + j], self._d)
 
     def row_list(self, i):
-        return list(self._e[i * self.cols:(i + 1) * self.cols])
+        return [Fraction(x, self._d)
+                for x in self._e[i * self.cols:(i + 1) * self.cols]]
 
     def column_list(self, j):
-        return [self._e[i * self.cols + j] for i in range(self.rows)]
+        return [Fraction(self._e[i * self.cols + j], self._d)
+                for i in range(self.rows)]
 
     def tolist(self):
         return [self.row_list(i) for i in range(self.rows)]
@@ -96,46 +111,55 @@ class RationalMatrix:
 
     @property
     def is_integer(self):
-        return all(x.denominator == 1 for x in self._e)
+        return self._d == 1
 
     def to_int_rows(self):
         if not self.is_integer:
             raise DomainError("matrix has non-integer entries")
-        return [[int(x) for x in self.row_list(i)] for i in range(self.rows)]
+        return [list(row) for row in self._scaled_int_rows()[1]]
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self._e) == (other.rows, other.cols,
-                                                   other._e)
+        return (self.rows, self.cols, self._d, self._e) == (
+            other.rows, other.cols, other._d, other._e)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._e))
+        return hash((self.rows, self.cols, self._d, self._e))
 
     def __repr__(self):
         return f"RationalMatrix.from_rows({self.tolist()!r})"
 
     def __neg__(self):
-        return RationalMatrix(self.rows, self.cols, [-x for x in self._e])
+        return self * -1
 
     def __add__(self, other):
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("matrix addition shape mismatch")
-        return RationalMatrix(self.rows, self.cols,
-                              [a + b for a, b in zip(self._e, other._e)])
+        # The two halves of [self | other] share one denominator.
+        c = self.cols
+        denom, rows = self.augment(other)._scaled_int_rows()
+        return RationalMatrix._from_scaled(
+            [[x + y for x, y in zip(row[:c], row[c:])] for row in rows],
+            c, denom)
 
     def __sub__(self, other):
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
             return mat_mul(self, other)
-        other = _as_fraction(other)
-        return RationalMatrix(self.rows, self.cols,
-                              [x * other for x in self._e])
+        d, (num,) = _scaled([other])
+        denom, rows = self._scaled_int_rows()
+        return RationalMatrix._from_scaled(
+            [[num * x for x in row] for row in rows], self.cols, denom * d)
 
     def __rmul__(self, other):
-        return self * _as_fraction(other)
+        return self * other
 
     def __pow__(self, n):
         self._require_square("matrix power")
@@ -155,23 +179,26 @@ class RationalMatrix:
         return RationalMatrix._from_scaled(out, self.cols, denom ** n)
 
     def transpose(self):
-        return RationalMatrix(
-            self.cols, self.rows,
-            [self._e[i * self.cols + j]
-             for j in range(self.cols) for i in range(self.rows)])
+        denom, rows = self._scaled_int_rows()
+        return RationalMatrix._from_scaled(_columns(rows, self.cols),
+                                           self.rows, denom)
 
     def trace(self):
         self._require_square("trace")
-        return sum((self[i, i] for i in range(self.rows)), Fraction(0))
+        return Fraction(sum(self._e[::self.cols + 1]), self._d)
 
     def augment(self, other):
+        if not isinstance(other, RationalMatrix):
+            raise TypeError("augment needs a RationalMatrix, got "
+                            f"{type(other).__name__}")
         if self.rows != other.rows:
             raise ShapeError("augment needs equal row counts")
-        entries = []
-        for i in range(self.rows):
-            entries.extend(self.row_list(i))
-            entries.extend(other.row_list(i))
-        return RationalMatrix(self.rows, self.cols + other.cols, entries)
+        denom = lcm(self._d, other._d)
+        s, t = denom // self._d, denom // other._d
+        return RationalMatrix._from_scaled(
+            [[s * x for x in p] + [t * y for y in q] for p, q in
+             zip(self._scaled_int_rows()[1], other._scaled_int_rows()[1])],
+            self.cols + other.cols, denom)
 
     def _require_square(self, what):
         if not self.is_square:
@@ -179,26 +206,30 @@ class RationalMatrix:
                              f"got {self.rows}x{self.cols}")
 
     def _scaled_int_rows(self):
-        """(D, rows): D the least common denominator of all entries and
-        rows the entries of D * self as int lists."""
-        denom = lcm(*(x.denominator for x in self._e))
-        c = self.cols
-        flat = [x.numerator * (denom // x.denominator) for x in self._e]
-        return denom, [flat[i * c:(i + 1) * c] for i in range(self.rows)]
+        """(D, rows): the stored denominator D and the rows of D * self as
+        int tuples."""
+        c, e = self.cols, self._e
+        return self._d, [e[i * c:(i + 1) * c] for i in range(self.rows)]
 
     @classmethod
     def _from_scaled(cls, rows, ncols, denom):
         """The matrix (1 / denom) * rows, for int rows with ncols columns
-        and a positive int denom."""
-        if denom == 1:
-            entries = [Fraction(x) for row in rows for x in row]
-        else:
-            entries = [Fraction(x, denom) for row in rows for x in row]
-        return cls(len(rows), ncols, entries)
+        and a nonzero int denom, stored in lowest terms."""
+        flat = tuple(chain.from_iterable(rows))
+        if denom != 1:
+            g = gcd(denom, *flat)
+            if denom < 0:
+                g = -g
+            if g != 1:
+                denom //= g
+                flat = tuple(x // g for x in flat)
+        m = object.__new__(cls)
+        m.rows, m.cols, m._d, m._e = len(rows), ncols, denom, flat
+        return m
 
     def rank(self):
         """Exact rank: the pivot count of fraction-free elimination."""
-        return len(_gauss_jordan(_cleared(self.tolist()))[0])
+        return len(_gauss_jordan(self._scaled_int_rows()[1])[0])
 
     def charpoly(self):
         """Monic characteristic polynomial det(tI - self), ascending
@@ -238,8 +269,7 @@ class RationalMatrix:
 
 
 def mat_mul(a, b):
-    """Exact matrix product, computed on the integer rows D_a a and
-    D_b b and divided by D_a D_b once."""
+    """Exact product a * b; ``RationalMatrix.__mul__`` forwards here."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by "
                          f"{b.rows}x{b.cols}")
@@ -261,7 +291,8 @@ def _int_product(rows, cols):
 
 
 def _gauss_jordan(m):
-    """Fraction-free Gauss-Jordan elimination in place on integer rows.
+    """Fraction-free Gauss-Jordan elimination in place on a list of
+    integer rows (the list is rewritten, the rows are not mutated).
 
     Returns (pivot column list, d).  Each step updates every other row,
     earlier pivot rows included, by (p x - f y) / prev, which Sylvester's
@@ -295,17 +326,8 @@ def _gauss_jordan(m):
 
 
 def rank(a):
+    """Exact rank of a; forwards to ``RationalMatrix.rank``."""
     return a.rank()
-
-
-def _cleared(rows):
-    """Integer lists of Fraction rows, each scaled by a positive integer
-    to clear its denominators; this preserves rank and kernel."""
-    out = []
-    for row in rows:
-        mult = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (mult // x.denominator) for x in row])
-    return out
 
 
 class Subspace:
@@ -351,17 +373,16 @@ class Subspace:
 
     def contains(self, vector):
         """Exact membership test for a length-n coordinate sequence."""
-        vec = [_as_fraction(x) for x in vector]
+        _, vec = _scaled(vector)
         if len(vec) != self.ambient_dim:
             raise ShapeError("vector length does not match ambient space")
-        vectors = [self.basis.column_list(j) for j in range(self.dim)]
-        return len(_gauss_jordan(_cleared(vectors + [vec]))[0]) == self.dim
+        vectors = _columns(self.basis._scaled_int_rows()[1], self.dim)
+        return len(_gauss_jordan(vectors + [vec])[0]) == self.dim
 
 
 def column_rref(m):
     """Canonical basis (reduced column echelon form) of the column space."""
-    return _echelon_basis(
-        _cleared(m.column_list(j) for j in range(m.cols)), m.rows)
+    return _echelon_basis(_columns(m._scaled_int_rows()[1], m.cols), m.rows)
 
 
 def _echelon_basis(vectors, n):
@@ -369,8 +390,7 @@ def _echelon_basis(vectors, n):
     length n, as an n x rank matrix; vectors is consumed."""
     pivots, d = _gauss_jordan(vectors)
     r = len(pivots)
-    return RationalMatrix(n, r, [Fraction(vectors[j][i], d)
-                                 for i in range(n) for j in range(r)])
+    return RationalMatrix._from_scaled(_columns(vectors[:r], n), r, d)
 
 
 def column_space(a):
@@ -385,7 +405,7 @@ def kernel_basis(a):
     gives the integer null vector with d at f and -m[r][f] at pivot
     column p_r; the result is normalised to reduced column echelon form.
     """
-    m = _cleared(a.tolist())
+    m = a._scaled_int_rows()[1]
     pivots, d = _gauss_jordan(m)
     vectors = []
     for f in (c for c in range(a.cols) if c not in pivots):
@@ -402,15 +422,14 @@ def solve_columns(b, c):
     DomainError when the system is inconsistent."""
     if b.rows != c.rows:
         raise ShapeError("solve needs matching row counts")
-    rows = _cleared(b.row_list(i) + c.row_list(i) for i in range(b.rows))
+    rows = b.augment(c)._scaled_int_rows()[1]
     pivots, d = _gauss_jordan(rows)
     if any(p >= b.cols for p in pivots):
         raise DomainError("inconsistent linear system")
     if len(pivots) != b.cols:
         raise InvariantError("solve requires full column rank")
-    return RationalMatrix(b.cols, c.cols, [Fraction(x, d)
-                                           for row in rows[:b.cols]
-                                           for x in row[b.cols:]])
+    return RationalMatrix._from_scaled(
+        [row[b.cols:] for row in rows[:b.cols]], c.cols, d)
 
 
 def inverse(a):

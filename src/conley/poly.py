@@ -184,6 +184,7 @@ def as_poly(value):
 
 
 def poly_mul(p, q):
+    """The product p * q; forwards to ``IntPolynomial.__mul__``."""
     return as_poly(p) * as_poly(q)
 
 
@@ -403,8 +404,10 @@ RF_ONE = RationalFunction(1)
 
 
 def ratfunc_mul(f, g):
+    """The product f * g; forwards to ``RationalFunction.__mul__``."""
     return f * g
 
 
 def ratfunc_inv(f):
+    """The reciprocal 1 / f; forwards to ``RationalFunction.inverse``."""
     return f.inverse()

@@ -16,12 +16,12 @@ share one computation and never leave exact arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 from operator import mul
 
 from .errors import DomainError, InvariantError
-from .linalg import (RationalMatrix, Subspace, _gauss_jordan, _int_product,
-                     column_space, kernel_basis, solve_columns)
+from .linalg import (RationalMatrix, Subspace, _gauss_jordan, column_space,
+                     kernel_basis, solve_columns)
 from .poly import (T, IntPolynomial, exact_div, poly_gcd,
                    squarefree_decomposition)
 
@@ -154,12 +154,11 @@ def _split_cyclic(denom, rows):
         # q(B) is a nonzero multiple of denom^d p(m), which kills the
         # chain, so p(m) = 0 once q(B) kills the units too.
         if all(_kills(rows, q, j) for j in units):
-            quotient = _int_product([row[d:] for row in basis[d:]],
-                                    [[row[j] for row in rows] for j in units])
-            scale = last * denom
-            g = gcd(scale, *(y for row in quotient for y in row))
-            g = g if scale > 0 else -g
-            return p, scale // g, [[y // g for y in row] for row in quotient]
+            unit_columns = [[row[j] for row in rows] for j in units]
+            quotient = RationalMatrix._from_scaled(
+                [_apply(unit_columns, row[d:]) for row in basis[d:]],
+                len(units), last * denom)
+            return (p, *quotient._scaled_int_rows())
     raise InvariantError("no trial vector reached the minimal polynomial")
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -373,3 +374,90 @@ class TestPowers:
             for k in range(21):
                 assert a ** k == expected
                 expected = mat_mul(expected, a)
+
+
+class TestOperandTypes:
+    def test_sum_and_difference_with_a_scalar_raise_type_error(self):
+        a = RationalMatrix.identity(2)
+        for op in (lambda: a + 1, lambda: a - 1, lambda: 1 + a,
+                   lambda: 1 - a):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_augment_needs_a_matrix(self):
+        with pytest.raises(TypeError):
+            RationalMatrix.identity(2).augment([[1], [2]])
+
+    @pytest.mark.parametrize("bad", [0.5, True, "1", None])
+    def test_non_rational_entries_and_scalars(self, bad):
+        with pytest.raises(DomainError):
+            RationalMatrix(1, 1, [bad])
+        with pytest.raises(DomainError):
+            RationalMatrix.identity(1) * bad
+
+
+@st.composite
+def fraction_grids(draw):
+    """(n, m, row-major Fraction entries) for an n x m matrix."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entries = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    return n, m, draw(st.lists(entries, min_size=n * m, max_size=n * m))
+
+
+def _routes(n, m, values, other, s, k):
+    """The matrix with these entries, reached in six ways: the
+    constructor, the scaled integer form times k, a sum and difference, a
+    scalar and its inverse, a double transpose and an augment."""
+    a = RationalMatrix(n, m, values)
+    b = RationalMatrix(n, m, other)
+    denom = lcm(*(x.denominator for x in values))
+    scaled = [[k * int(x * denom) for x in values[i * m:(i + 1) * m]]
+              for i in range(n)]
+    split = m // 2
+    left, right = (RationalMatrix(n, len(cols), [values[i * m + j]
+                                                 for i in range(n)
+                                                 for j in cols])
+                   for cols in (range(split), range(split, m)))
+    return [a, RationalMatrix._from_scaled(scaled, m, k * denom),
+            a + b - b, (a * s) * (1 / s), a.transpose().transpose(),
+            left.augment(right)]
+
+
+class TestCanonicalStorage:
+    """A matrix is stored as its least common denominator and integer
+    entries in lowest terms, whichever route built it."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(fraction_grids(),
+           st.fractions(min_value=-6, max_value=6,
+                        max_denominator=7).filter(bool),
+           st.integers(-5, 5).filter(bool), st.data())
+    def test_routes_store_alike(self, grid, s, k, data):
+        n, m, values = grid
+        other = data.draw(st.lists(ENTRIES["rational"], min_size=n * m,
+                                   max_size=n * m))
+        expected = [values[i * m:(i + 1) * m] for i in range(n)]
+        routes = _routes(n, m, values, other, s, k)
+        for x in routes:
+            assert (x.rows, x.cols) == (n, m)
+            assert x._d > 0 and all(type(e) is int for e in x._e)
+            assert gcd(x._d, *x._e) == 1
+            read = [x.tolist(), [x.row_list(i) for i in range(n)],
+                    [[x[i, j] for j in range(m)] for i in range(n)]]
+            columns = [x.column_list(j) for j in range(m)]
+            for got in read + [columns]:
+                assert all(type(v) is Fraction for row in got for v in row)
+            assert read[0] == read[1] == read[2] == expected
+            assert columns == [[row[j] for row in expected]
+                               for j in range(m)]
+            if n == m:
+                trace = x.trace()
+                assert type(trace) is Fraction
+                assert trace == sum(values[i * (m + 1)] for i in range(n))
+        candidates = routes + [RationalMatrix(n, m, other),
+                               RationalMatrix(n, m, values[::-1])]
+        for x in candidates:
+            for y in candidates:
+                assert (x == y) == (x.tolist() == y.tolist())
+                if x == y:
+                    assert hash(x) == hash(y)
