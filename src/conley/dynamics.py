@@ -7,11 +7,16 @@ record orientation behaviour on the unstable bundle) together with its
 Morse index u.  The index automorphism in degree u is the nonnilpotent
 part of A; every other degree is trivial.  The zeta function needs only
 det(I - A t) because the nilpotent part contributes the factor 1.
+
+A report computes each fact about a basic set (A+, det(I - A t),
+det(I - A+ t)) once, through one BasicSetAnalysis per set and call; the
+two zeta routes still start from different facts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DomainError, InvariantError, ResourceError, \
     ValidationError
@@ -244,43 +249,82 @@ def _check_index_bound(basic, ambient_dim):
             f"ambient dimension {ambient_dim}")
 
 
+class BasicSetAnalysis:
+    """Facts about one basic set with structure matrix A, each computed
+    on first use and kept for the life of this object.
+
+    conley_index, zeta_basic_set and zeta_via_index take one in place of
+    the basic set and read its facts, so a caller that needs several of
+    them computes each fact once.
+    """
+
+    def __init__(self, basic):
+        self.basic = basic
+
+    @cached_property
+    def induced(self):
+        """The nonnilpotent part A+ of A, on the eventual image."""
+        return nonnilpotent_part(self.basic.structure.matrix)
+
+    @cached_property
+    def reversed_charpoly(self):
+        """det(I - A t)."""
+        return char_reversed(self.basic.structure.matrix)
+
+    @cached_property
+    def reversed_charpoly_plus(self):
+        """det(I - A+ t)."""
+        return char_reversed_rational(self.induced.matrix)
+
+
+def _analysis(basic, ambient_dim):
+    """The analysis of a basic set, or basic itself when it already is
+    one, after checking the Morse index against the ambient dimension."""
+    if not isinstance(basic, BasicSetAnalysis):
+        basic = BasicSetAnalysis(basic)
+    _check_index_bound(basic.basic, ambient_dim)
+    return basic
+
+
+def _in_degree(poly, u):
+    """poly to the power (-1)^(u+1), the sign of degree u in a zeta
+    function."""
+    return RationalFunction(poly) if u % 2 == 1 else \
+        RationalFunction(1, poly)
+
+
 def conley_index(basic, ambient_dim):
-    """Conley index of a basic set: in degree u the invertible part of the
-    structure matrix, trivial in every other degree (and in every degree
-    when the structure matrix is nilpotent)."""
-    _check_index_bound(basic, ambient_dim)
-    induced = nonnilpotent_part(basic.structure.matrix)
+    """Conley index of a basic set (a BasicSetSpec or its
+    BasicSetAnalysis): in degree u the invertible part of the structure
+    matrix, trivial in every other degree (and in every degree when the
+    structure matrix is nilpotent)."""
+    facts = _analysis(basic, ambient_dim)
+    induced = facts.induced
     if induced.dim == 0:
         return ConleyIndex({})
     entry = IndexEntry(dim=induced.dim, matrix=induced.matrix,
                        invariant_factors=tuple(
                            invariant_factors(induced.matrix)))
-    return ConleyIndex({basic.index_u: entry})
+    return ConleyIndex({facts.basic.index_u: entry})
 
 
 def zeta_basic_set(basic, ambient_dim):
-    """Homology zeta function of one basic set, computed directly from the
-    structure matrix: det(I - A t) to the power (-1)^(u+1)."""
-    _check_index_bound(basic, ambient_dim)
-    poly = char_reversed(basic.structure.matrix)
-    if basic.index_u % 2 == 1:
-        return RationalFunction(poly)
-    return RationalFunction(1, poly)
+    """Homology zeta function of one basic set (a BasicSetSpec or its
+    BasicSetAnalysis), computed directly from the structure matrix:
+    det(I - A t) to the power (-1)^(u+1)."""
+    facts = _analysis(basic, ambient_dim)
+    return _in_degree(facts.reversed_charpoly, facts.basic.index_u)
 
 
 def zeta_via_index(basic, ambient_dim):
-    """Zeta function assembled degree by degree from the Conley index;
-    agrees with zeta_basic_set because the nilpotent part contributes 1.
-    Kept as an independent route for the verification command."""
-    index = conley_index(basic, ambient_dim)
-    result = RationalFunction(1)
-    for k in range(ambient_dim + 1):
-        entry = index.entry(k)
-        if entry is None:
-            continue
-        factor = RationalFunction(char_reversed_rational(entry.matrix))
-        result = result * factor ** ((-1) ** (k + 1))
-    return result
+    """Zeta function assembled from the Conley index of a basic set (a
+    BasicSetSpec or its BasicSetAnalysis): det(I - A+ t) of the index
+    automorphism in degree u, to the power (-1)^(u+1), since every other
+    degree is trivial.  Agrees with zeta_basic_set because the nilpotent
+    part contributes 1; kept as an independent route for the verification
+    command."""
+    facts = _analysis(basic, ambient_dim)
+    return _in_degree(facts.reversed_charpoly_plus, facts.basic.index_u)
 
 
 def lefschetz_series(basic, ambient_dim, m):

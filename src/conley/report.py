@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 
-from .dynamics import (StepBudget, conley_index, count_periodic,
-                       enumerate_periodic_oracle, lefschetz_series,
-                       morse_split_check, zeta_basic_set, zeta_via_index)
+from .dynamics import (BasicSetAnalysis, StepBudget, conley_index,
+                       count_periodic, enumerate_periodic_oracle,
+                       lefschetz_series, morse_split_check, zeta_basic_set,
+                       zeta_via_index)
 from .errors import ResourceError, ValidationError
-from .linalg import char_reversed, char_reversed_rational
 from .poly import IntPolynomial
-from .spectral import generalized_kernel, jordan_profile, nonnilpotent_part
+from .spectral import generalized_kernel, jordan_profile
 
 # Enumeration steps the periodic check of one basic set may take over all
 # its periods; the 2-cycle passes it at --max-enum 1200 (1.44M steps).
@@ -138,7 +138,9 @@ def build_verify_report(system, max_enum=6):
     Each check pits two independent routes against each other: brute-force
     periodic words vs the trace formula, the zeta function through the
     Conley index vs directly from the structure matrix, and the
-    eventual-image restriction against its defining identities.
+    eventual-image restriction against its defining identities.  The
+    facts both routes start from (A+, det(I - A t), det(I - A+ t)) come
+    from one BasicSetAnalysis per basic set, so each is computed once.
     """
     if max_enum < 1:
         raise ValidationError(f"max_enum must be at least 1, got {max_enum}")
@@ -148,6 +150,7 @@ def build_verify_report(system, max_enum=6):
         name = basic.name
         a = basic.structure.matrix
         n = a.rows
+        facts = BasicSetAnalysis(basic)
 
         if basic.shift is not None:
             budget = StepBudget(PERIODIC_CHECK_MAX_STEPS)
@@ -175,16 +178,15 @@ def build_verify_report(system, max_enum=6):
                 checks.append(_check(name, "periodic_counts", "skipped",
                                      str(exc)))
 
-        direct = zeta_basic_set(basic, dim)
-        via_index = zeta_via_index(basic, dim)
+        direct = zeta_basic_set(facts, dim)
+        via_index = zeta_via_index(facts, dim)
         checks.append(_check(
             name, "zeta_routes",
             "pass" if direct == via_index else "fail",
             f"direct {direct} vs index route {via_index}"))
 
-        induced = nonnilpotent_part(a)
-        same_poly = char_reversed(a) == \
-            char_reversed_rational(induced.matrix)
+        induced = facts.induced
+        same_poly = facts.reversed_charpoly == facts.reversed_charpoly_plus
         checks.append(_check(
             name, "nilpotent_part_contributes_one",
             "pass" if same_poly else "fail",

@@ -58,15 +58,17 @@ def _require_int_matrix(value, path, entries=None):
             raise ValidationError(
                 f"row has {len(row)} entries, expected {n} (matrix must "
                 "be square)", f"{path}/{i}")
-        out = []
-        for j, x in enumerate(row):
-            x = _require_int(x, f"{path}/{i}/{j}")
-            if entries is not None and x not in entries:
-                raise ValidationError(
-                    f"entry {_shown(x)} not in {sorted(entries)}",
-                    f"{path}/{i}/{j}")
-            out.append(x)
-        rows.append(out)
+        # Locations are formatted only on the way to an error: a row of
+        # plain ints within ``entries`` passes without a per-entry string.
+        if any(type(x) is not int for x in row) or \
+                entries is not None and not entries.issuperset(row):
+            for j, x in enumerate(row):
+                x = _require_int(x, f"{path}/{i}/{j}")
+                if entries is not None and x not in entries:
+                    raise ValidationError(
+                        f"entry {_shown(x)} not in {sorted(entries)}",
+                        f"{path}/{i}/{j}")
+        rows.append(list(row))
     return rows
 
 

@@ -11,13 +11,27 @@ decomposition), polynomial gcds and division run Euclid and long division
 over Fractions (the library uses integer pseudo-remainders and integer
 long division), and products and the trace recursion run entry by entry
 over Fractions (the library runs them on denominator-cleared integers).
+
+The reference reports are the one exception: they call the library's
+public functions, one per fact and each on the bare basic set, so every
+fact is computed afresh where the report builders compute it once per
+basic set; they check the sharing, not the facts.
 """
 
 from fractions import Fraction
 from itertools import combinations
 import random
 
-from conley.linalg import RationalMatrix, inverse
+from conley.dynamics import (StepBudget, conley_index, count_periodic,
+                             enumerate_periodic_oracle, lefschetz_series,
+                             zeta_basic_set, zeta_via_index)
+from conley.errors import ResourceError
+from conley.linalg import RationalMatrix, char_reversed, \
+    char_reversed_rational, inverse
+from conley.poly import RationalFunction
+from conley.report import (PERIODIC_CHECK_MAX_STEPS, _check, _set_header,
+                           encode_matrix, encode_poly)
+from conley.spectral import generalized_kernel, nonnilpotent_part
 
 
 def _pmul(a, b):
@@ -334,6 +348,123 @@ def random_shift_graph(rng, max_vertices=4):
     return adjacency, orientation
 
 
+def zeta_via_index_reference(basic, ambient_dim):
+    """The zeta function assembled degree by degree from conley_index:
+    the product of det(I - M_k t)^((-1)^(k+1)) over the index
+    automorphisms M_k."""
+    index = conley_index(basic, ambient_dim)
+    result = RationalFunction(1)
+    for k in index.degrees():
+        factor = RationalFunction(
+            char_reversed_rational(index.entry(k).matrix))
+        result = result * factor ** ((-1) ** (k + 1))
+    return result
+
+
+def reference_index_report(system):
+    """build_index_report, from one conley_index call per basic set."""
+    dim = system.effective_dim()
+    sets = []
+    for basic in system.sorted_sets():
+        section = _set_header(basic)
+        index = conley_index(basic, dim)
+        if index.is_trivial:
+            section["conley_index"] = {"nontrivial_degree": None}
+        else:
+            degree = index.degrees()[0]
+            entry = index.entry(degree)
+            section["conley_index"] = {
+                "nontrivial_degree": degree,
+                "dim": entry.dim,
+                "map": encode_matrix(entry.matrix),
+                "invariant_factors": [encode_poly(f)
+                                      for f in entry.invariant_factors],
+            }
+        sets.append(section)
+    return {"command": "index", "ambient_dim": system.ambient_dim,
+            "basic_sets": sets}
+
+
+def _periodic_check(basic, max_enum):
+    budget = StepBudget(PERIODIC_CHECK_MAX_STEPS)
+    try:
+        for period in range(1, max_enum + 1):
+            counted = count_periodic(basic.shift, period)
+            enumerated = enumerate_periodic_oracle(
+                basic.shift, period, max_period=max_enum, budget=budget)
+            if counted != enumerated:
+                return _check(basic.name, "periodic_counts", "fail",
+                              f"n = {period}: trace gives {counted}, "
+                              f"enumeration gives {enumerated}")
+    except ResourceError as exc:
+        return _check(basic.name, "periodic_counts", "skipped", str(exc))
+    return _check(basic.name, "periodic_counts", "pass",
+                  f"trace formula matches enumeration for n = "
+                  f"1..{max_enum}")
+
+
+def reference_verify_report(system, max_enum=6):
+    """build_verify_report, from one public function call per fact:
+    zeta_basic_set, zeta_via_index, nonnilpotent_part, char_reversed,
+    generalized_kernel and lefschetz_series, each on the bare basic set or
+    its structure matrix."""
+    dim = system.effective_dim()
+    checks = []
+    for basic in system.sorted_sets():
+        name = basic.name
+        a = basic.structure.matrix
+        n = a.rows
+        if basic.shift is not None:
+            checks.append(_periodic_check(basic, max_enum))
+
+        direct = zeta_basic_set(basic, dim)
+        via_index = zeta_via_index(basic, dim)
+        checks.append(_check(
+            name, "zeta_routes", "pass" if direct == via_index else "fail",
+            f"direct {direct} vs index route {via_index}"))
+
+        induced = nonnilpotent_part(a)
+        same_poly = char_reversed(a) == \
+            char_reversed_rational(induced.matrix)
+        checks.append(_check(
+            name, "nilpotent_part_contributes_one",
+            "pass" if same_poly else "fail",
+            "det(I - A t) agrees with det(I - A+ t)"
+            if same_poly else "the reversed characteristic polynomials "
+            "differ"))
+
+        split_ok = generalized_kernel(a).dim + induced.image_basis.dim == n
+        checks.append(_check(
+            name, "kernel_image_split", "pass" if split_ok else "fail",
+            f"dim gKer + dim gIm = {n}" if split_ok else
+            "dimension count failed"))
+
+        try:
+            induced.verify()
+            checks.append(_check(name, "induced_map", "pass",
+                                 "intertwines its basis and is invertible"))
+        except Exception as exc:    # noqa: BLE001 - reported, not raised
+            checks.append(_check(name, "induced_map", "fail", str(exc)))
+
+        tail_ok = True
+        if n:
+            plus = induced.matrix
+            power = plus ** n
+            tail = [power.trace()]
+            for _ in range(3):
+                power = power * plus
+                tail.append(power.trace())
+            tail_ok = lefschetz_series(basic, dim, n + 3)[n - 1:] == tail
+        checks.append(_check(
+            name, "trace_tail", "pass" if tail_ok else "fail",
+            f"trace(A^k) = trace(A+^k) for k = {n}..{n + 3}" if tail_ok
+            else "trace tails differ"))
+
+    ok = all(c["status"] != "fail" for c in checks)
+    return {"command": "verify", "ambient_dim": system.ambient_dim,
+            "checks": checks, "ok": ok}
+
+
 __all__ = [
     "block_diag", "char_reversed_oracle", "charpoly_cofactor",
     "charpoly_oracle", "column_rref_oracle", "companion", "conjugate",
@@ -341,7 +472,8 @@ __all__ = [
     "kernel_oracle", "mat_mul_oracle", "poly_divmod_oracle",
     "poly_gcd_oracle", "quadratic_companion_block", "random_int_matrix",
     "random_rational_matrix", "random_shift_graph", "random_unimodular",
-    "rref_oracle", "rref_rank", "solve_oracle",
+    "reference_index_report", "reference_verify_report", "rref_oracle",
+    "rref_rank", "solve_oracle", "zeta_via_index_reference",
 ]
 
 

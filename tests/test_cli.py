@@ -10,6 +10,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conley import linalg, spectral
 from conley.cli import main
 
 from oracles import block_diag, companion, quadratic_companion_block
@@ -153,6 +154,27 @@ class TestVerifyCommand:
         assert code == 0, err
         assert "all checks passed" in out
         assert "fail" not in out
+
+    def test_wrong_induced_map_fails_its_checks(self, capsys, fixture_path,
+                                                monkeypatch):
+        # A+ off by one entry: the checks that read it must fail, so the
+        # facts shared between the routes leave none of them vacuous.
+        def off_by_one(b, c):
+            rows = linalg.solve_columns(b, c).tolist()
+            rows[0][0] += 1
+            return linalg.RationalMatrix.from_rows(rows)
+
+        monkeypatch.setattr(spectral, "solve_columns", off_by_one)
+        code, out, err = run_cli(capsys, "verify",
+                                 fixture_path("fourhandle.json"))
+        assert code == 3
+        assert "verification failed" in err
+        status = {line.split(": ")[1].split(" (")[0]: line.split()[0]
+                  for line in out.splitlines() if "four-handle: " in line}
+        for check in ("zeta_routes", "nilpotent_part_contributes_one",
+                      "induced_map"):
+            assert status[check] == "fail", out
+        assert "CHECK FAILURES DETECTED" in out
 
     def test_periodic_check_runs_for_graphs(self, capsys, fixture_path):
         code, out, _ = run_cli(capsys, "verify",

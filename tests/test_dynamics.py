@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conley.dynamics import (BasicSetSpec, StepBudget, StructureMatrix,
+from conley import dynamics, spectral
+from conley.dynamics import (BasicSetAnalysis, BasicSetSpec, StepBudget,
+                             StructureMatrix,
                              SystemSpec, VertexShiftSpec,
                              build_structure_matrix,
                              conley_index, count_periodic,
@@ -11,10 +14,14 @@ from conley.dynamics import (BasicSetSpec, StepBudget, StructureMatrix,
                              zeta_via_index)
 from conley.errors import DomainError, ResourceError, ValidationError
 from conley.linalg import RationalMatrix
-from conley.poly import IntPolynomial, RationalFunction
+from conley.poly import IntPolynomial, RationalFunction, poly_mul
+from conley.report import build_index_report, build_verify_report
 from conley.spectral import is_similar
 
-from oracles import mat_mul_oracle, random_int_matrix, random_shift_graph
+from oracles import (block_diag, companion, conjugate, jordan_block,
+                     mat_mul_oracle, random_int_matrix, random_shift_graph,
+                     random_unimodular, reference_index_report,
+                     reference_verify_report, zeta_via_index_reference)
 
 
 def P(*coeffs):
@@ -358,3 +365,116 @@ class TestCompanionRemark:
                 induced = nonnilpotent_part(a)
                 assert induced.dim == m
                 assert is_similar(induced.matrix, a)
+
+
+# ---------------------------------------------------------------------------
+# the report builders against one public function call per fact
+
+def _nilpotent(sizes):
+    return block_diag([jordan_block(0, k) for k in sizes])
+
+
+@st.composite
+def _structure_matrices(draw):
+    """(matrix, None) or (None, shift) from one of five families."""
+    family = draw(st.sampled_from(
+        ["empty", "nilpotent", "singular", "shift", "derogatory"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    if family == "empty":
+        return RationalMatrix.zeros(0, 0), None
+    if family == "shift":
+        adjacency, orientation = random_shift_graph(rng)
+        return None, VertexShiftSpec.from_lists(adjacency, orientation)
+    if family == "nilpotent":
+        base = _nilpotent(draw(st.lists(st.integers(1, 3), min_size=1,
+                                        max_size=3)))
+    elif family == "singular":
+        base = random_int_matrix(rng, draw(st.integers(1, 5)), -2, 2)
+        base = RationalMatrix.from_rows(
+            [row[:-1] + [0] for row in base.tolist()])
+    else:
+        # An invariant-factor chain f | f g | ... beside nilpotent blocks,
+        # n <= 8; after a long unimodular conjugation about one in four
+        # of these has an A+ with p/q entries.
+        chain = [draw(st.sampled_from([[-1, 1], [1, 1], [-2, 1],
+                                       [1, -1, 1], [-1, 0, 1]]))]
+        for step in draw(st.lists(st.sampled_from([[1], [-1, 1], [2, 1]]),
+                                  max_size=2)):
+            chain.append(list(poly_mul(P(*chain[-1]), P(*step)).coeffs))
+        pad = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+        blocks = [companion(f) for f in chain] + [_nilpotent(pad)]
+        if sum(b.rows for b in blocks) > 8:
+            blocks = blocks[:1] + blocks[-1:]
+        base = block_diag(blocks)
+    return conjugate(random_unimodular(rng, base.rows, 30), base), None
+
+
+@st.composite
+def _systems(draw):
+    sets = []
+    for k, (a, shift) in enumerate(draw(st.lists(_structure_matrices(),
+                                                 min_size=1, max_size=3))):
+        structure = build_structure_matrix(shift) if shift is not None \
+            else StructureMatrix(a)
+        sets.append(BasicSetSpec(f"b{k}", structure,
+                                 draw(st.integers(0, 3)), shift))
+    dim = draw(st.one_of(st.none(), st.integers(3, 4)))
+    return SystemSpec(basic_sets=sets, ambient_dim=dim)
+
+
+def _fractional_plus_system():
+    """One derogatory basic set whose A+ has entries 1/2, 39/2, -13/4."""
+    base = block_diag([companion([-1, 1]), companion([1, -2, 1]),
+                       _nilpotent([2])])
+    a = conjugate(random_unimodular(random.Random(3), base.rows, 30), base)
+    return SystemSpec(basic_sets=(BasicSetSpec("s", StructureMatrix(a), 1),))
+
+
+def test_explicit_example_has_a_fractional_induced_map():
+    (b,) = _fractional_plus_system().basic_sets
+    assert not BasicSetAnalysis(b).induced.matrix.is_integer
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_systems())
+@example(_fractional_plus_system())
+def test_reports_match_one_call_per_fact(system):
+    assert build_index_report(system) == reference_index_report(system)
+    assert build_verify_report(system, max_enum=3) == \
+        reference_verify_report(system, max_enum=3)
+    dim = system.effective_dim()
+    for b in system.basic_sets:
+        assert zeta_via_index(b, dim) == zeta_via_index_reference(b, dim)
+
+
+def test_verify_computes_each_fact_once(monkeypatch):
+    # One basic set, n = 4, with A+ of dimension 2 (similar to
+    # [[1, 1], [0, 1]]); a second call repeats the counts, so no cache
+    # outlives a call.
+    system = SystemSpec(basic_sets=(FOURHANDLE,), ambient_dim=2)
+    a = FOURHANDLE.structure.matrix
+    counts = {}
+
+    def counting(key, fn, when=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            if when(*args):
+                counts[key] = counts.get(key, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(RationalMatrix, "charpoly",
+                        counting("charpoly", RationalMatrix.charpoly))
+    monkeypatch.setattr(RationalMatrix, "__pow__", counting(
+        "power", RationalMatrix.__pow__,
+        lambda m, k: m == a and k == a.rows))
+    monkeypatch.setattr(spectral, "generalized_image", counting(
+        "image", spectral.generalized_image))
+    for module in (spectral, dynamics):
+        monkeypatch.setattr(module, "invariant_factors", counting(
+            "invariant_factors", spectral.invariant_factors))
+    for _ in range(2):
+        counts.clear()
+        assert build_verify_report(system)["ok"]
+        # A^n is formed once inside generalized_image (for A+) and once
+        # inside generalized_kernel: both are public functions of A alone.
+        assert counts == {"charpoly": 2, "image": 1, "power": 2}
