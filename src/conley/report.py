@@ -135,12 +135,16 @@ def _check(name, check, status, detail):
 def build_verify_report(system, max_enum=6):
     """Run the cross-check oracles on every basic set.
 
-    Each check pits two independent routes against each other: brute-force
-    periodic words vs the trace formula, the zeta function through the
-    Conley index vs directly from the structure matrix, and the
-    eventual-image restriction against its defining identities.  The
-    facts both routes start from (A+, det(I - A t), det(I - A+ t)) come
-    from one BasicSetAnalysis per basic set, so each is computed once.
+    Each check pits two routes against each other: brute-force periodic
+    words vs the trace formula, the zeta function through the Conley
+    index vs directly from the structure matrix, and the eventual-image
+    restriction against its defining identities.  Two of these checks are
+    not independent: each zeta function is det(I - A t) or det(I - A+ t)
+    raised to one power (-1)^(u+1), so ``zeta_routes`` and
+    ``nilpotent_part_contributes_one`` both rest on det(I - A t) =
+    det(I - A+ t) and pass or fail together.  The facts the routes start
+    from (A+, det(I - A t), det(I - A+ t)) come from one BasicSetAnalysis
+    per basic set, so each is computed once.
     """
     if max_enum < 1:
         raise ValidationError(f"max_enum must be at least 1, got {max_enum}")

@@ -10,7 +10,9 @@ fraction-free elimination of the Krylov chain gives the annihilator, and
 a second, of the chain beside the identity, the quotient map.  The block
 structure per irreducible factor of the characteristic polynomial is
 read off the same invariant factors, so the index and the block profile
-share one computation and never leave exact arithmetic.
+share one computation and never leave exact arithmetic.  Integer
+eigenvalues come from p-adic lifting of the roots modulo a small prime,
+in time polynomial in the degree and the coefficients' bit length.
 """
 
 from __future__ import annotations
@@ -243,12 +245,76 @@ class JordanProfile:
         return True
 
 
-def _signed_divisors(c):
-    out = set()
-    for d in range(1, isqrt(c) + 1):
-        if c % d == 0:
-            out.update((d, -d, c // d, -(c // d)))
-    return sorted(out)
+def _eval_mod(coeffs, x, m):
+    """f(x) mod m for f with these ascending integer coefficients."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _lifting_prime(coeffs, deriv):
+    """(p, roots of f mod p) for the smallest prime p at which every root
+    of f mod p is simple, f the monic squarefree integer polynomial with
+    ascending coefficients ``coeffs`` and derivative ``deriv``.
+
+    A root that is double mod p makes p divide Res(f, f'), an integer
+    combination of f and f', which is nonzero because f is squarefree.
+    Hadamard's bound on the Sylvester matrix gives |Res(f, f')|^2 <=
+    |f|^(2(n-1)) |f'|^(2n) in euclidean norms, so once the skipped primes
+    multiply past that bound f cannot be squarefree, and the search stops
+    with InvariantError instead of running on.
+    """
+    skipped, bound = 1, None
+    p = 1
+    while True:
+        p += 1
+        if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            continue
+        reduced = [c % p for c in coeffs]
+        roots = [r for r in range(p) if not _eval_mod(reduced, r, p)]
+        if all(_eval_mod(deriv, r, p) for r in roots):
+            return p, roots
+        if bound is None:
+            n = len(deriv)
+            bound = (sum(c * c for c in coeffs) ** (n - 1)
+                     * sum(c * c for c in deriv) ** n)
+        skipped *= p
+        if skipped * skipped > bound:
+            raise InvariantError(f"{IntPolynomial(coeffs)} has a repeated "
+                                 f"root: no prime keeps its roots simple")
+
+
+def _integer_root_candidates(f):
+    """A list that holds every integer root of f, a monic squarefree
+    integer polynomial with f(0) != 0, by p-adic lifting (R. Loos,
+    "Computing rational zeros of integral polynomials by p-adic
+    expansion", SIAM J. Comput. 1983).
+
+    An integer root reduces to a simple root r mod p, and Newton's step
+    lifts r uniquely from modulus m to m^2.  A root divides f(0), so once
+    m > 2 |f(0)| the symmetric residue of the lifted r is the root itself,
+    and a lifted r that does not divide f(0) is no root.  A candidate may
+    still not be a root; the caller checks each one exactly.
+    """
+    coeffs = f.coeffs
+    c0 = coeffs[0]
+    if len(coeffs) == 2:
+        return [-c0]
+    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    p, roots = _lifting_prime(coeffs, deriv)
+    out = []
+    for r in roots:
+        m = p
+        while m <= 2 * abs(c0):
+            m *= m
+            r = (r - _eval_mod(coeffs, r, m)
+                 * pow(_eval_mod(deriv, r, m), -1, m)) % m
+        if 2 * r > m:
+            r -= m
+        if r and c0 % r == 0:
+            out.append(r)
+    return out
 
 
 def _split_squarefree(part):
@@ -260,9 +326,7 @@ def _split_squarefree(part):
         out.append((T, KIND_RATIONAL))
         rem = exact_div(rem, T)
     if rem.degree >= 1:
-        for r in _signed_divisors(abs(rem.coefficient(0))):
-            if rem.degree < 1:
-                break
+        for r in _integer_root_candidates(rem):
             if rem(r) == 0:
                 factor = IntPolynomial([-r, 1])
                 out.append((factor, KIND_RATIONAL))
@@ -317,10 +381,11 @@ def jordan_profile(a):
 
     The block sizes are read off the invariant factors.  Factors are
     obtained from coprime splitting of their squarefree parts, integer-root
-    extraction and a quadratic discriminant test; residual factors of
-    degree >= 3 (and irrational real quadratics) are reported as
-    KIND_UNRESOLVED, with exact block data, one entry per product of
-    irreducible factors that share a block structure.
+    extraction by p-adic lifting (every integer root, whatever its size,
+    in time polynomial in the bit length) and a quadratic discriminant
+    test; residual factors of degree >= 3 (and irrational real quadratics)
+    are reported as KIND_UNRESOLVED, with exact block data, one entry per
+    product of irreducible factors that share a block structure.
     """
     a._require_square("jordan profile")
     if not a.is_integer:

@@ -9,8 +9,10 @@ once at the end),
 invariant factors come from gcds of minors (the library uses a cyclic
 decomposition), polynomial gcds and division run Euclid and long division
 over Fractions (the library uses integer pseudo-remainders and integer
-long division), and products and the trace recursion run entry by entry
-over Fractions (the library runs them on denominator-cleared integers).
+long division), products and the trace recursion run entry by entry
+over Fractions (the library runs them on denominator-cleared integers),
+and integer roots come from trying every divisor of the constant term
+(the library lifts roots mod a prime p-adically).
 
 The reference reports are the one exception: they call the library's
 public functions, one per fact and each on the bare basic set, so every
@@ -20,6 +22,7 @@ basic set; they check the sharing, not the facts.
 
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 import random
 
 from conley.dynamics import (StepBudget, conley_index, count_periodic,
@@ -109,6 +112,24 @@ def rref_rank(rows):
                 m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def det_oracle(rows):
+    """Determinant by Gaussian elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
 
 
 def rref_oracle(rows):
@@ -341,6 +362,22 @@ def invariant_factors_oracle(a):
     return factors
 
 
+def integer_roots_oracle(coeffs):
+    """Sorted integer roots of a nonzero integer polynomial (ascending
+    coefficients): 0 when the constant term vanishes, and each divisor
+    +-d of the lowest nonzero coefficient at which the polynomial
+    vanishes.  Trial division costs time exponential in that
+    coefficient's bit length, so keep it to small inputs."""
+    low = next(k for k, c in enumerate(coeffs) if c)
+    c = abs(coeffs[low])
+    candidates = {0} if low else set()
+    for d in range(1, isqrt(c) + 1):
+        if c % d == 0:
+            candidates.update((d, -d, c // d, -(c // d)))
+    return sorted(r for r in candidates
+                  if sum(a * r ** k for k, a in enumerate(coeffs)) == 0)
+
+
 def random_shift_graph(rng, max_vertices=4):
     n = rng.randint(1, max_vertices)
     adjacency = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
@@ -468,7 +505,8 @@ def reference_verify_report(system, max_enum=6):
 __all__ = [
     "block_diag", "char_reversed_oracle", "charpoly_cofactor",
     "charpoly_oracle", "column_rref_oracle", "companion", "conjugate",
-    "det_poly", "invariant_factors_oracle", "jordan_block",
+    "det_oracle", "det_poly", "integer_roots_oracle",
+    "invariant_factors_oracle", "jordan_block",
     "kernel_oracle", "mat_mul_oracle", "poly_divmod_oracle",
     "poly_gcd_oracle", "quadratic_companion_block", "random_int_matrix",
     "random_rational_matrix", "random_shift_graph", "random_unimodular",

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from conley import linalg, spectral
 from conley.cli import main
 
-from oracles import block_diag, companion, quadratic_companion_block
+from oracles import (block_diag, companion, det_oracle,
+                     quadratic_companion_block)
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +95,50 @@ class TestJordanCommand:
         assert {tuple(e["factor"]): e["block_sizes"]
                 for e in profile} == expected
         assert {e["kind"] for e in profile} == {"unresolved"}
+
+
+def _jordan_in_subprocess(tmp_path, rows):
+    """The jordan_profile of a one-set system run through ``conley
+    jordan`` in its own process, which must exit 0 within 30 s."""
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"basic_sets": [
+        {"name": "m", "index": 1, "matrix": rows}]}), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "conley.cli", "jordan", str(path),
+         "--format", "json"],
+        capture_output=True, text=True, timeout=30, check=False)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)["basic_sets"][0]["jordan_profile"]
+
+
+class TestJordanLargeEntries:
+    """Integer eigenvalues are found in time polynomial in the bit length
+    of the characteristic polynomial's coefficients."""
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([[2 ** 61 - 1]], [([1 - 2 ** 61, 1], [1])]),
+        ([[2 ** 40, 0, 0], [0, -2 ** 40, 1], [0, 0, -2 ** 40]],
+         [([2 ** 40, 1], [2]), ([-2 ** 40, 1], [1])]),
+    ], ids=["mersenne_61", "plus_minus_2_pow_40"])
+    def test_large_eigenvalues_pinned(self, tmp_path, rows, expected):
+        profile = _jordan_in_subprocess(tmp_path, rows)
+        assert [(e["factor"], e["block_sizes"]) for e in profile] == expected
+        assert {e["kind"] for e in profile} == {"rational_eigenvalue"}
+
+    @pytest.mark.parametrize("n", [32, 48])
+    def test_singular_random_matrix(self, tmp_path, n):
+        rng = random.Random(n)
+        rows = [[0] + [rng.randint(-2, 2) for _ in range(n - 1)]
+                for _ in range(n)]
+        profile = _jordan_in_subprocess(tmp_path, rows)
+        for x in (3, -2):
+            product = 1
+            for e in profile:
+                value = sum(c * x ** k for k, c in enumerate(e["factor"]))
+                product *= value ** e["algebraic_multiplicity"]
+            assert product == det_oracle(
+                [[x * (i == j) - rows[i][j] for j in range(n)]
+                 for i in range(n)])
 
 
 class TestZetaCommand:

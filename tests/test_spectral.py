@@ -16,7 +16,8 @@ from conley.spectral import (KIND_COMPLEX, KIND_RATIONAL, KIND_UNRESOLVED,
                              nonnilpotent_part)
 
 from oracles import (block_diag, companion, conjugate,
-                     invariant_factors_oracle, jordan_block,
+                     integer_roots_oracle, invariant_factors_oracle,
+                     jordan_block,
                      quadratic_companion_block, random_int_matrix,
                      random_unimodular)
 
@@ -388,6 +389,73 @@ def test_planted_mixed_residuals_recovered(case):
     a, expected = case
     profile = jordan_profile(a)
     assert {e.factor: e.block_sizes for e in profile.entries} == expected
+
+
+@st.composite
+def planted_integer_roots(draw):
+    """(f, planted roots, cofactor, paired): f is the product of t - r
+    over distinct planted r and a monic cofactor of degree 2 to 4 that is
+    Eisenstein at 2, so irreducible with no rational root.  The roots
+    come from 0, +-1 and +-2^40, and from pairs r, r + 210 k; such a pair
+    agrees mod 2, 3, 5 and 7, so none of those primes keeps the roots of
+    f simple, and ``paired`` says whether one was planted."""
+    roots = set(draw(st.lists(st.sampled_from([0, 1, -1, 2 ** 40,
+                                               -2 ** 40]), max_size=5)))
+    pairs = draw(st.lists(st.tuples(st.integers(-60, 60),
+                                    st.integers(-3, 3).filter(bool)),
+                          max_size=2))
+    for r, k in pairs:
+        roots.update((r, r + 210 * k))
+    middle = [2 * draw(st.integers(-50, 50))
+              for _ in range(draw(st.integers(1, 3)))]
+    cofactor = P(4 * draw(st.integers(-50, 50)) + 2, *middle, 1)
+    f = cofactor
+    for r in roots:
+        f = poly_mul(f, P(-r, 1))
+    return f, roots, cofactor, bool(pairs)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(planted_integer_roots())
+def test_planted_integer_roots_found(case):
+    f, roots, cofactor, paired = case
+    split = spectral._split_squarefree(f)
+    linear = [g for g, kind in split if kind == KIND_RATIONAL]
+    assert {-g.coefficient(0) for g in linear} == roots
+    assert [g for g, kind in split if kind != KIND_RATIONAL] == [cofactor]
+    product = P(1)
+    for g, _ in split:
+        product = poly_mul(product, g)
+    assert product == f
+    if paired:
+        assert spectral._lifting_prime(
+            f.coeffs, f.derivative().coeffs)[0] > 7
+    if abs(next(c for c in f.coeffs if c)) < 2 ** 24:
+        assert sorted(roots) == integer_roots_oracle(f.coeffs)
+
+
+def test_small_integer_roots_match_oracle():
+    # Lifted residues near half the modulus are where a too-small lifting
+    # target would turn a root into its negative complement.
+    cases = [P(-r, 1) for r in range(-40, 41)]
+    cases += [poly_mul(P(-r, 1), P(-s, 1))
+              for r in range(-12, 13) for s in range(r + 1, 13)]
+    for f in cases:
+        split = spectral._split_squarefree(f)
+        assert all(kind == KIND_RATIONAL for _, kind in split), f
+        assert sorted(-g.coefficient(0) for g, _ in split) == \
+            integer_roots_oracle(f.coeffs)
+
+
+@pytest.mark.parametrize("f", [
+    P(1, -2, 1),
+    poly_mul(P(-2 ** 40, 1) ** 2, P(3, 1)),
+], ids=["t_minus_1_squared", "double_root_2_pow_40"])
+def test_repeated_root_stops_the_prime_search(f):
+    start = time.perf_counter()
+    with pytest.raises(InvariantError, match="repeated root"):
+        spectral._integer_root_candidates(f)
+    assert time.perf_counter() - start < 1.0
 
 
 def _drop_last_pivot(when):
