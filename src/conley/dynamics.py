@@ -8,9 +8,9 @@ Morse index u.  The index automorphism in degree u is the nonnilpotent
 part of A; every other degree is trivial.  The zeta function needs only
 det(I - A t) because the nilpotent part contributes the factor 1.
 
-A report computes each fact about a basic set (A+, det(I - A t),
-det(I - A+ t)) once, through one BasicSetAnalysis per set and call; the
-two zeta routes still start from different facts.
+A report computes A+, the one fact about a basic set that several of its
+checks read, once, through one BasicSetAnalysis per set and call.  The two
+zeta routes start from different facts, det(I - A t) and det(I - A+ t).
 """
 
 from __future__ import annotations
@@ -114,43 +114,37 @@ def count_periodic(shift, n):
     return int((g ** n).trace())
 
 
-# Stack entries the brute-force enumeration may pop in one call; the full
-# 8-shift passes it at period 7.
-ORACLE_MAX_STEPS = 10**6
+# Stack entries the brute-force enumeration may pop unless the caller
+# passes its own budget; the full 8-shift uses it up at period 7.
+ORACLE_MAX_STEPS = 2 * 10**6
 
 
 class StepBudget:
     """Stack entries that a run of enumerations may pop in all."""
 
-    def __init__(self, steps):
+    def __init__(self, steps=ORACLE_MAX_STEPS):
         self.steps = steps
         self.left = steps
 
 
-def enumerate_periodic_oracle(shift, n, max_period=12, max_symbols=8,
-                              budget=None):
+def enumerate_periodic_oracle(shift, n, budget=None):
     """Brute-force count of admissible length-n cyclic symbol words.
 
     Exhaustive (with dead-prefix pruning), so it is an independent check
-    of count_periodic.  Caps on the period, the symbol count and the
-    number of steps guard against runaway enumeration; a StepBudget
-    passed as ``budget`` also caps the steps of all the calls sharing it.
+    of count_periodic.  The walk draws on ``budget``, a StepBudget that
+    calls may share (a fresh one when none is given), and raises
+    ResourceError once it is spent.  Each call costs at least n steps, so
+    periods on a graph without cycles, whose walks end at once, spend it
+    too.
     """
     if n < 1:
         raise DomainError("period must be at least 1")
-    if n > max_period:
-        raise ResourceError(f"period {n} exceeds the cap {max_period}")
-    if shift.n > max_symbols:
-        raise ResourceError(f"{shift.n} symbols exceed the cap "
-                            f"{max_symbols}")
-    if budget is not None and budget.left < ORACLE_MAX_STEPS:
-        limit = budget.left
-        message = (f"enumerating periods up to {n} takes more than "
-                   f"{budget.steps} steps")
-    else:
-        limit = ORACLE_MAX_STEPS
-        message = (f"enumerating period {n} takes more than "
-                   f"{ORACLE_MAX_STEPS} steps")
+    if budget is None:
+        budget = StepBudget()
+    message = (f"enumerating periods up to {n} takes more than "
+               f"{budget.steps} steps")
+    if n > budget.left:
+        raise ResourceError(message)
     adj = shift.adjacency
     successors = [[j for j in range(shift.n) if row[j]] for row in adj]
     total = 0
@@ -161,7 +155,7 @@ def enumerate_periodic_oracle(shift, n, max_period=12, max_symbols=8,
         stack = [(first, n - 1)]
         while stack:
             steps += 1
-            if steps > limit:
+            if steps > budget.left:
                 raise ResourceError(message)
             prev, remaining = stack.pop()
             if remaining == 0:
@@ -169,8 +163,7 @@ def enumerate_periodic_oracle(shift, n, max_period=12, max_symbols=8,
                 continue
             for nxt in successors[prev]:
                 stack.append((nxt, remaining - 1))
-    if budget is not None:
-        budget.left -= steps
+    budget.left -= max(steps, n)
     return total
 
 
@@ -250,12 +243,12 @@ def _check_index_bound(basic, ambient_dim):
 
 
 class BasicSetAnalysis:
-    """Facts about one basic set with structure matrix A, each computed
-    on first use and kept for the life of this object.
+    """A basic set with structure matrix A and its nonnilpotent part A+,
+    computed on first use and kept for the life of this object.
 
     conley_index, zeta_basic_set and zeta_via_index take one in place of
-    the basic set and read its facts, so a caller that needs several of
-    them computes each fact once.
+    the basic set, so a caller that needs several of them computes A+,
+    the one fact that several checks read, once.
     """
 
     def __init__(self, basic):
@@ -265,16 +258,6 @@ class BasicSetAnalysis:
     def induced(self):
         """The nonnilpotent part A+ of A, on the eventual image."""
         return nonnilpotent_part(self.basic.structure.matrix)
-
-    @cached_property
-    def reversed_charpoly(self):
-        """det(I - A t)."""
-        return char_reversed(self.basic.structure.matrix)
-
-    @cached_property
-    def reversed_charpoly_plus(self):
-        """det(I - A+ t)."""
-        return char_reversed_rational(self.induced.matrix)
 
 
 def _analysis(basic, ambient_dim):
@@ -313,7 +296,8 @@ def zeta_basic_set(basic, ambient_dim):
     BasicSetAnalysis), computed directly from the structure matrix:
     det(I - A t) to the power (-1)^(u+1)."""
     facts = _analysis(basic, ambient_dim)
-    return _in_degree(facts.reversed_charpoly, facts.basic.index_u)
+    return _in_degree(char_reversed(facts.basic.structure.matrix),
+                      facts.basic.index_u)
 
 
 def zeta_via_index(basic, ambient_dim):
@@ -324,7 +308,8 @@ def zeta_via_index(basic, ambient_dim):
     part contributes 1; kept as an independent route for the verification
     command."""
     facts = _analysis(basic, ambient_dim)
-    return _in_degree(facts.reversed_charpoly_plus, facts.basic.index_u)
+    return _in_degree(char_reversed_rational(facts.induced.matrix),
+                      facts.basic.index_u)
 
 
 def lefschetz_series(basic, ambient_dim, m):

@@ -400,9 +400,6 @@ class RationalFunction:
         return f"RationalFunction({list(self.num.coeffs)!r}, {list(self.den.coeffs)!r})"
 
 
-RF_ONE = RationalFunction(1)
-
-
 def ratfunc_mul(f, g):
     """The product f * g; forwards to ``RationalFunction.__mul__``."""
     return f * g

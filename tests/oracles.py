@@ -29,11 +29,9 @@ from conley.dynamics import (StepBudget, conley_index, count_periodic,
                              enumerate_periodic_oracle, lefschetz_series,
                              zeta_basic_set, zeta_via_index)
 from conley.errors import ResourceError
-from conley.linalg import RationalMatrix, char_reversed, \
-    char_reversed_rational, inverse
+from conley.linalg import RationalMatrix, char_reversed_rational, inverse
 from conley.poly import RationalFunction
-from conley.report import (PERIODIC_CHECK_MAX_STEPS, _check, _set_header,
-                           encode_matrix, encode_poly)
+from conley.report import _check, _set_header, encode_matrix, encode_poly
 from conley.spectral import generalized_kernel, nonnilpotent_part
 
 
@@ -423,12 +421,12 @@ def reference_index_report(system):
 
 
 def _periodic_check(basic, max_enum):
-    budget = StepBudget(PERIODIC_CHECK_MAX_STEPS)
+    budget = StepBudget()
     try:
         for period in range(1, max_enum + 1):
             counted = count_periodic(basic.shift, period)
-            enumerated = enumerate_periodic_oracle(
-                basic.shift, period, max_period=max_enum, budget=budget)
+            enumerated = enumerate_periodic_oracle(basic.shift, period,
+                                                   budget)
             if counted != enumerated:
                 return _check(basic.name, "periodic_counts", "fail",
                               f"n = {period}: trace gives {counted}, "
@@ -442,9 +440,9 @@ def _periodic_check(basic, max_enum):
 
 def reference_verify_report(system, max_enum=6):
     """build_verify_report, from one public function call per fact:
-    zeta_basic_set, zeta_via_index, nonnilpotent_part, char_reversed,
-    generalized_kernel and lefschetz_series, each on the bare basic set or
-    its structure matrix."""
+    zeta_basic_set, zeta_via_index, nonnilpotent_part, generalized_kernel
+    and lefschetz_series, each on the bare basic set or its structure
+    matrix."""
     dim = system.effective_dim()
     checks = []
     for basic in system.sorted_sets():
@@ -461,15 +459,6 @@ def reference_verify_report(system, max_enum=6):
             f"direct {direct} vs index route {via_index}"))
 
         induced = nonnilpotent_part(a)
-        same_poly = char_reversed(a) == \
-            char_reversed_rational(induced.matrix)
-        checks.append(_check(
-            name, "nilpotent_part_contributes_one",
-            "pass" if same_poly else "fail",
-            "det(I - A t) agrees with det(I - A+ t)"
-            if same_poly else "the reversed characteristic polynomials "
-            "differ"))
-
         split_ok = generalized_kernel(a).dim + induced.image_basis.dim == n
         checks.append(_check(
             name, "kernel_image_split", "pass" if split_ok else "fail",

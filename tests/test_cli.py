@@ -217,8 +217,7 @@ class TestVerifyCommand:
         assert "verification failed" in err
         status = {line.split(": ")[1].split(" (")[0]: line.split()[0]
                   for line in out.splitlines() if "four-handle: " in line}
-        for check in ("zeta_routes", "nilpotent_part_contributes_one",
-                      "induced_map"):
+        for check in ("zeta_routes", "induced_map"):
             assert status[check] == "fail", out
         assert "CHECK FAILURES DETECTED" in out
 
@@ -257,6 +256,26 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", str(path),
                                  "--max-enum", "100000", "--format", "json")
         assert time.perf_counter() - start < 60
+        assert code == 0, err
+        periodic = [c for c in json.loads(out)["checks"]
+                    if c["check"] == "periodic_counts"]
+        assert [c["status"] for c in periodic] == ["skipped"]
+
+    def test_acyclic_graph_spends_the_budget_quickly(self, capsys,
+                                                     tmp_path):
+        # Each period of [[0]] pops one stack entry but costs a
+        # count_periodic call; charging each period at least n steps
+        # ends the check after about two thousand periods.
+        path = tmp_path / "acyclic.json"
+        path.write_text(json.dumps({"basic_sets": [{
+            "name": "acyclic", "index": 0,
+            "graph": {"adjacency": [[0]], "orientation": [1]}}]}),
+            encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", str(path),
+                                 "--max-enum", "1000000000",
+                                 "--format", "json")
+        assert time.perf_counter() - start < 5
         assert code == 0, err
         periodic = [c for c in json.loads(out)["checks"]
                     if c["check"] == "periodic_counts"]

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -116,14 +117,17 @@ class TestPeriodicCounts:
         with pytest.raises(DomainError):
             enumerate_periodic_oracle(shift, 0)
 
-    def test_caps(self):
+    def test_long_period_spends_the_budget(self):
         shift = VertexShiftSpec.from_lists([[1]], [1])
-        with pytest.raises(ResourceError):
-            enumerate_periodic_oracle(shift, 13)
-        big = VertexShiftSpec.from_lists(
-            [[1] * 9 for _ in range(9)], [1] * 9)
-        with pytest.raises(ResourceError):
-            enumerate_periodic_oracle(big, 2)
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="more than 2000000 steps"):
+            enumerate_periodic_oracle(shift, 10**7)
+        assert time.perf_counter() - start < 5
+
+    def test_no_symbol_cap(self):
+        full9 = VertexShiftSpec.from_lists([[1] * 9] * 9, [1] * 9)
+        assert enumerate_periodic_oracle(full9, 2) == 81 == \
+            count_periodic(full9, 2)
 
     def test_step_cap(self):
         full8 = VertexShiftSpec.from_lists([[1] * 8] * 8, [1] * 8)
@@ -140,10 +144,19 @@ class TestPeriodicCounts:
         with pytest.raises(ResourceError, match="more than 10 steps"):
             enumerate_periodic_oracle(cycle, 3, budget=budget)
 
-    def test_budget_above_the_call_cap_keeps_the_call_cap(self):
+    def test_callers_budget_replaces_the_default(self):
         full8 = VertexShiftSpec.from_lists([[1] * 8] * 8, [1] * 8)
-        with pytest.raises(ResourceError, match="period 7 takes more"):
-            enumerate_periodic_oracle(full8, 7, budget=StepBudget(10**9))
+        assert enumerate_periodic_oracle(
+            full8, 7, budget=StepBudget(10**7)) == 8 ** 7
+
+    def test_each_call_costs_at_least_its_period(self):
+        # On a graph without cycles every walk ends after one step.
+        acyclic = VertexShiftSpec.from_lists([[0]], [1])
+        budget = StepBudget(10)
+        assert enumerate_periodic_oracle(acyclic, 4, budget) == 0
+        assert budget.left == 6
+        with pytest.raises(ResourceError, match="more than 10 steps"):
+            enumerate_periodic_oracle(acyclic, 7, budget)
 
     def test_trace_formula_matches_enumeration(self):
         rng = random.Random(211)

@@ -40,9 +40,9 @@ GOLDEN = {
     ("horseshoe.json", "morse", "json"):
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("horseshoe.json", "verify", "text"):
-        (0, "1007601aea151641942610a1e51e340e802b9257ef513d8588aeace8136f0682"),
+        (0, "0c745f67c60e90384da72a92c6816295aa5f40b614c7bbafb55d798fa2f8a866"),
     ("horseshoe.json", "verify", "json"):
-        (0, "8dce9e99c574cd36095f3a157565cd1da4939ba65492f95ca48d76e04d872f00"),
+        (0, "d04d898277e2a0fee0324b2a9e07bfaaafc8ebd137b33788aa194a66fe42194b"),
     ("torus.json", "index", "text"):
         (0, "927871526f20d3a9eacab2e8d1c4c3ad7413dbaa151e2236ec0ce49e3db297a7"),
     ("torus.json", "index", "json"):
@@ -60,9 +60,9 @@ GOLDEN = {
     ("torus.json", "morse", "json"):
         (0, "bf400932d9cfd579a2abdd8449f342d07d8600237b3eef1f043114e163f61a43"),
     ("torus.json", "verify", "text"):
-        (0, "ea468b8b95ba5dc1f69621ff1861aaa56d0896e1d259f157a0d2862299970d57"),
+        (0, "271ec81430ff81a4f51e9e1de1d921b7043eedbdd5033c38442406f2f0a41707"),
     ("torus.json", "verify", "json"):
-        (0, "b7e9f12b8db73092d0b5efa335f4c4ed22ef8acca2f91a8b89b237be3d7886b9"),
+        (0, "526bb2878d156f79b44f68f2f79d9685af462c7c4382d375965819de1f717507"),
     ("fourhandle.json", "index", "text"):
         (0, "b0a10a016830d921176b555eb2845588f22589ebf7374add4e1229859d7ee468"),
     ("fourhandle.json", "index", "json"):
@@ -80,9 +80,9 @@ GOLDEN = {
     ("fourhandle.json", "morse", "json"):
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("fourhandle.json", "verify", "text"):
-        (0, "e6eeb9ad0ccd26b29c868dd2e4521af0b826643d4fb167ed8f1eecbfc901a21e"),
+        (0, "ace3b4ae9fd029aa1089697e013049dd046bd7a6f02d0194abae94c514088722"),
     ("fourhandle.json", "verify", "json"):
-        (0, "d07025fac6777434bfda54b4ae739e716e1c9335b947645104f0a91296208c78"),
+        (0, "6bd9aa3d419a845766680804adfa638034436f66f992bca97094bd86c2ad12d4"),
     ("rational.json", "index", "text"):
         (0, "6744bea56e5e4befe0c095717d57a18bd364412edf4844ecbd30e7caf775a5ff"),
     ("rational.json", "index", "json"):
@@ -100,9 +100,9 @@ GOLDEN = {
     ("rational.json", "morse", "json"):
         (0, "f4e25633c057cd0962d5e71f507d28687d35776c1cbde3b2fadced25033e3d0b"),
     ("rational.json", "verify", "text"):
-        (0, "6fdc805eecacf60f6e51cf577bda813db84b8e0aef48b3413755ced62fe1d8bb"),
+        (0, "6bb24b6b093b92a8f5c33994373bfcd010d203207c2814bb253abe0c163a5108"),
     ("rational.json", "verify", "json"):
-        (0, "86d21c257daa5b7f88994d97481d0a74c9671ea5fc863bab3ce01f9c2ef7af47"),
+        (0, "06797b8e7ee0ff7710dde5b62837f8332639d804f63580642d96e8db6cc78159"),
 }
 
 

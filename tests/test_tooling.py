@@ -1,6 +1,8 @@
 import contextlib
 import io
+import json
 import pathlib
+import re
 import signal
 import sys
 
@@ -43,3 +45,21 @@ def test_tracer_sees_the_layers_under_each_report(command, fixture_path):
     boundaries = tracer.summary()["boundaries"]
     for name in LAYERS_UNDER[command]:
         assert boundaries[name]["calls"] > 0, name
+
+
+def test_readme_lists_exactly_the_verify_checks(fixture_path):
+    # The README's check list documents verify's output, so a check added
+    # to or dropped from build_verify_report must change it too.
+    emitted = set()
+    for name in ("horseshoe.json", "torus.json", "fourhandle.json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["verify", fixture_path(name),
+                         "--format", "json"]) == 0
+        emitted |= {c["check"] for c in json.loads(out.getvalue())["checks"]}
+    readme = (pathlib.Path(__file__).resolve().parent.parent
+              / "README.md").read_text(encoding="utf-8")
+    paragraph = next(p for p in readme.split("\n\n")
+                     if p.startswith("Each `verify` check"))
+    documented = set(re.findall(r"`([a-z]+(?:_[a-z]+)+)`", paragraph))
+    assert documented == emitted
