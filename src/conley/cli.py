@@ -56,8 +56,14 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    # Input is parsed under the interpreter's limit on int string digits
+    # (absent before 3.10.7); computed coefficients may exceed it.
+    limit = sys.get_int_max_str_digits() \
+        if hasattr(sys, "set_int_max_str_digits") else None
     try:
         system = parse_system(args.file)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         if args.command == "index":
             report = build_index_report(system)
         elif args.command == "jordan":
@@ -68,6 +74,8 @@ def main(argv=None):
             report = build_morse_report(system, args.q)
         else:
             report = build_verify_report(system, max_enum=args.max_enum)
+        rendered = render_json(report) if args.format == "json" \
+            else render_text(report)
     except (ValidationError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
@@ -80,9 +88,10 @@ def main(argv=None):
     except ConleyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
-    rendered = render_json(report) if args.format == "json" \
-        else render_text(report)
     sys.stdout.write(rendered)
     if args.command == "verify" and not report["ok"]:
         print("verification failed", file=sys.stderr)

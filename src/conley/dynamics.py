@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, repeat
+from operator import mul
 
 from .errors import DomainError, InvariantError, ResourceError, \
     ValidationError
@@ -312,19 +314,18 @@ def zeta_via_index(basic, ambient_dim):
                       facts.basic.index_u)
 
 
+def _power_traces(a, m):
+    """Traces of a, a^2, ..., a^m, from m - 1 successive products."""
+    return [p.trace() for p in accumulate(repeat(a, m), mul)]
+
+
 def lefschetz_series(basic, ambient_dim, m):
-    """Traces of the first m powers of the structure matrix.  From some
-    power on these equal the traces of the nonnilpotent part."""
+    """Traces of the first m powers of the structure matrix.  They equal
+    those of the nonnilpotent part from the first power on, since the
+    nilpotent part adds trace 0 to every power."""
     if m < 1:
         raise DomainError("series length must be at least 1")
-    a = basic.structure.matrix
-    out = []
-    power = a
-    for k in range(m):
-        if k:
-            power = power * a
-        out.append(int(power.trace()))
-    return out
+    return [int(t) for t in _power_traces(basic.structure.matrix, m)]
 
 
 @dataclass

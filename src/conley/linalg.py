@@ -4,7 +4,7 @@ A matrix is stored as its least common denominator D > 0 and the
 row-major integer entries of D times the matrix, in lowest terms (D and
 the entries share no factor), so equal matrices have equal storage and an
 integer matrix has D = 1; entries leave as Fractions.  Every kernel reads
-the stored integers.  Products, powers and the characteristic polynomial
+the stored integers.  Products (powers too) and the characteristic polynomial
 bring in the matching power of D once, when the result is built.  Rank,
 kernel, column echelon form and solve share one fraction-free (Bareiss)
 Gauss-Jordan elimination: every intermediate is an integer minor of the
@@ -165,18 +165,11 @@ class RationalMatrix:
         self._require_square("matrix power")
         if n < 0:
             raise DomainError("negative matrix power")
-        denom, rows = self._scaled_int_rows()
-        out = [[int(i == j) for j in range(self.cols)]
-               for i in range(self.rows)]
-        # Binary exponentiation: rows runs through (D self)^(2^k).
-        k = n
-        while k:
-            if k & 1:
-                out = _int_product(out, _columns(rows, self.cols))
-            k >>= 1
-            if k:
-                rows = _int_product(rows, _columns(rows, self.cols))
-        return RationalMatrix._from_scaled(out, self.cols, denom ** n)
+        if n <= 1:
+            return self if n else RationalMatrix.identity(self.rows)
+        # Square and multiply, starting from self rather than from I.
+        half = self ** (n // 2)
+        return half * half * self if n % 2 else half * half
 
     def transpose(self):
         denom, rows = self._scaled_int_rows()

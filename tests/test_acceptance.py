@@ -26,7 +26,7 @@ from conley.system_io import parse_system
 
 from oracles import (block_diag, conjugate, jordan_block,
                      quadratic_companion_block, random_int_matrix,
-                     random_shift_graph, random_unimodular)
+                     random_shift_graph, random_unimodular, zero_column)
 
 
 @contextmanager
@@ -205,13 +205,15 @@ def test_criterion_8_planted_jordan_blocks():
 
 
 def test_criterion_9_trace_tails(random_family):
-    with criterion(9, "trace(A^k) = trace(A+^k) for n <= k <= 10 on the "
-                      "criterion-4 family"):
+    with criterion(9, "trace(A^k) = trace(A+^k) for 1 <= k <= 10 on the "
+                      "criterion-4 family and on it with a column zeroed"):
+        rng = random.Random(9)
         for a, induced in random_family:
-            n = a.rows
-            power = a ** n
-            plus_power = induced.matrix ** n
-            for k in range(n, 11):
-                assert power.trace() == plus_power.trace()
-                power = power * a
-                plus_power = plus_power * induced.matrix
+            singular = zero_column(a, rng.randrange(a.rows))
+            for m, plus in ((a, induced.matrix),
+                            (singular, nonnilpotent_part(singular).matrix)):
+                power, plus_power = m, plus
+                for _ in range(10):
+                    assert power.trace() == plus_power.trace()
+                    power = power * m
+                    plus_power = plus_power * plus

@@ -156,6 +156,43 @@ class TestZetaCommand:
         assert report["product"]["numerator"] == [1, -1, 1]
         assert report["product"]["denominator"] == [1, -2, 1]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_coefficients_of_any_length_print(self, capsys, tmp_path, fmt):
+        # Entries of 3001 digits parse under the interpreter's default
+        # limit of 4300 digits; det(I - A t) has a 6001-digit coefficient.
+        a, b = 10 ** 3000 + 7, 10 ** 3000 + 9
+        a_digits = "1" + "0" * 2999 + "7"
+        b_digits = "1" + "0" * 2999 + "9"
+        ab_digits = "1" + "0" * 2998 + "16" + "0" * 2998 + "63"
+        assert _from_digits(ab_digits) == a * b
+        path = tmp_path / "long.json"
+        path.write_text('{"basic_sets": [{"name": "d", "index": 1, '
+                        '"matrix": [[' + a_digits + ', 0], [0, '
+                        + b_digits + ']]}]}', encoding="utf-8")
+        limit = _digit_limit()
+        code, out, err = run_cli(capsys, "zeta", str(path), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert _digit_limit() == limit
+        if fmt == "text":
+            assert f" + {ab_digits}t^2\n" in out
+        else:
+            zeta = json.loads(out, parse_int=str)["basic_sets"][0]["zeta"]
+            assert [_from_digits(c) for c in zeta["numerator"]] == \
+                [1, -(a + b), a * b]
+            assert zeta["numerator"][2] == ab_digits
+
+
+def _digit_limit():
+    """The interpreter's int-to-string digit limit; None before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def _from_digits(s):
+    """int(s) for a decimal string of at most 7300 digits, read in two
+    pieces that each stay under the interpreter's default digit limit."""
+    sign, s = (-1, s[1:]) if s.startswith("-") else (1, s)
+    return sign * (int(s[:-3000] or "0") * 10 ** 3000 + int(s[-3000:]))
+
 
 class TestMorseCommand:
     def test_torus_q1_verdict_true(self, capsys, fixture_path):
@@ -217,9 +254,19 @@ class TestVerifyCommand:
         assert "verification failed" in err
         status = {line.split(": ")[1].split(" (")[0]: line.split()[0]
                   for line in out.splitlines() if "four-handle: " in line}
-        for check in ("zeta_routes", "induced_map"):
+        for check in ("zeta_routes", "induced_map", "trace_tail"):
             assert status[check] == "fail", out
         assert "CHECK FAILURES DETECTED" in out
+
+    def test_empty_basic_set_checks_traces_from_one(self, capsys, tmp_path):
+        # A 0x0 structure matrix: every power has trace 0 on both sides.
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"basic_sets": [
+            {"name": "e", "index": 0, "matrix": []}]}), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0
+        assert "   pass  e: trace_tail (trace(A^k) = trace(A+^k) for " \
+               "k = 1..4)\n" in out
 
     def test_periodic_check_runs_for_graphs(self, capsys, fixture_path):
         code, out, _ = run_cli(capsys, "verify",

@@ -40,9 +40,9 @@ GOLDEN = {
     ("horseshoe.json", "morse", "json"):
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("horseshoe.json", "verify", "text"):
-        (0, "0c745f67c60e90384da72a92c6816295aa5f40b614c7bbafb55d798fa2f8a866"),
+        (0, "6472aa78e80d6b994e77935a9db547d95f11fc1662ccf99077108cc9f08db8a3"),
     ("horseshoe.json", "verify", "json"):
-        (0, "d04d898277e2a0fee0324b2a9e07bfaaafc8ebd137b33788aa194a66fe42194b"),
+        (0, "982e4dce511d75079443322c7a28cec320a8db2e9026df167764167da4e9156d"),
     ("torus.json", "index", "text"):
         (0, "927871526f20d3a9eacab2e8d1c4c3ad7413dbaa151e2236ec0ce49e3db297a7"),
     ("torus.json", "index", "json"):
@@ -60,9 +60,9 @@ GOLDEN = {
     ("torus.json", "morse", "json"):
         (0, "bf400932d9cfd579a2abdd8449f342d07d8600237b3eef1f043114e163f61a43"),
     ("torus.json", "verify", "text"):
-        (0, "271ec81430ff81a4f51e9e1de1d921b7043eedbdd5033c38442406f2f0a41707"),
+        (0, "bdf21e5ec0822de33ac70907ae8f4bf9d68f944c09b1d20d9d02b1c191fcf3ea"),
     ("torus.json", "verify", "json"):
-        (0, "526bb2878d156f79b44f68f2f79d9685af462c7c4382d375965819de1f717507"),
+        (0, "10a9224a29abc447d519b0875d724d9fbfcdafd0ba23c9db63f12f33038f9ed9"),
     ("fourhandle.json", "index", "text"):
         (0, "b0a10a016830d921176b555eb2845588f22589ebf7374add4e1229859d7ee468"),
     ("fourhandle.json", "index", "json"):
@@ -80,9 +80,9 @@ GOLDEN = {
     ("fourhandle.json", "morse", "json"):
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("fourhandle.json", "verify", "text"):
-        (0, "ace3b4ae9fd029aa1089697e013049dd046bd7a6f02d0194abae94c514088722"),
+        (0, "2505ce38bb6f619c3a76783124666cd5f0f942fe7985068a56df3a7a31a03e9f"),
     ("fourhandle.json", "verify", "json"):
-        (0, "6bd9aa3d419a845766680804adfa638034436f66f992bca97094bd86c2ad12d4"),
+        (0, "0d6fff09b3fdfed6eeead208b9b563eed06b3a0957ecbf332e6505f88501c3a9"),
     ("rational.json", "index", "text"):
         (0, "6744bea56e5e4befe0c095717d57a18bd364412edf4844ecbd30e7caf775a5ff"),
     ("rational.json", "index", "json"):
@@ -100,9 +100,9 @@ GOLDEN = {
     ("rational.json", "morse", "json"):
         (0, "f4e25633c057cd0962d5e71f507d28687d35776c1cbde3b2fadced25033e3d0b"),
     ("rational.json", "verify", "text"):
-        (0, "6bb24b6b093b92a8f5c33994373bfcd010d203207c2814bb253abe0c163a5108"),
+        (0, "83ad0109331fdf2d7da1e1c7639cd88dc38649408d23d3e72427a84016f59b9f"),
     ("rational.json", "verify", "json"):
-        (0, "06797b8e7ee0ff7710dde5b62837f8332639d804f63580642d96e8db6cc78159"),
+        (0, "b8c93f8f3dad5108d4ada140ec6ab3235099485a68f2d2ef4045b515e5510d29"),
 }
 
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -63,3 +64,25 @@ def test_readme_lists_exactly_the_verify_checks(fixture_path):
                      if p.startswith("Each `verify` check"))
     documented = set(re.findall(r"`([a-z]+(?:_[a-z]+)+)`", paragraph))
     assert documented == emitted
+
+
+def test_library_imports_only_the_standard_library():
+    # conley promises no runtime dependencies: every absolute import in
+    # the package must name a standard-library module.
+    package = (pathlib.Path(__file__).resolve().parent.parent
+               / "src" / "conley")
+    imported = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported[name.split(".")[0]] = path.name
+    assert imported, "no absolute imports found"
+    outside = {name: where for name, where in imported.items()
+               if name not in sys.stdlib_module_names}
+    assert outside == {}
