@@ -323,6 +323,7 @@ def lefschetz_series(basic, ambient_dim, m):
     """Traces of the first m powers of the structure matrix.  They equal
     those of the nonnilpotent part from the first power on, since the
     nilpotent part adds trace 0 to every power."""
+    _check_index_bound(basic, ambient_dim)
     if m < 1:
         raise DomainError("series length must be at least 1")
     return [int(t) for t in _power_traces(basic.structure.matrix, m)]

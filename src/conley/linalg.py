@@ -5,7 +5,9 @@ row-major integer entries of D times the matrix, in lowest terms (D and
 the entries share no factor), so equal matrices have equal storage and an
 integer matrix has D = 1; entries leave as Fractions.  Every kernel reads
 the stored integers.  Products (powers too) and the characteristic polynomial
-bring in the matching power of D once, when the result is built.  Rank,
+bring in the matching power of D once, when the result is built.  The
+characteristic polynomial is found modulo primes, by Hessenberg reduction,
+and rebuilt by the CRT under a proven bound on its coefficients.  Rank,
 kernel, column echelon form and solve share one fraction-free (Bareiss)
 Gauss-Jordan elimination: every intermediate is an integer minor of the
 input, and the reduced echelon form is d times an integer matrix, which
@@ -20,9 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
+from ._modular import charpoly_mod, primes
 from .errors import DomainError, InvariantError, ShapeError
 from .poly import IntPolynomial
 
@@ -226,31 +229,33 @@ class RationalMatrix:
 
     def charpoly(self):
         """Monic characteristic polynomial det(tI - self), ascending
-        Fraction coefficients, computed by the Faddeev-LeVerrier trace
-        recursion on the integer matrix B = D self.
+        Fraction coefficients, computed modulo primes on the integer
+        matrix B = D self.
 
-        The coefficients c_k of det(tI - B) are integers, and so is every
-        matrix of the recursion, so c_k = -tr(M_k) / k divides exactly;
-        the coefficient of t^(n-k) for self is c_k / D^k.
+        The coefficient of t^(n-k) for self is c_k / D^k, c_k that of
+        det(tI - B).  Up to sign, c_k is the sum of the principal k x k
+        minors of B, so Hadamard's inequality on each minor gives
+        |c_k| <= e_k(r) <= prod(1 + r_i), r_i the Euclidean norm of row i
+        of B, and 1 + r_i <= 2 + isqrt(r_i^2).  Residues of the c_k
+        modulo primes just below 2^62 are combined by the CRT until the
+        modulus passes twice that bound; the symmetric residues are then
+        the c_k.  The characteristic polynomial of B mod p is that of B
+        reduced mod p, so every prime serves.
         """
         self._require_square("characteristic polynomial")
-        n = self.rows
         denom, rows = self._scaled_int_rows()
-        # M_k is a polynomial in B, so it commutes with B and B's columns
-        # serve every step.
-        cols = _columns(rows, n)
-        coeffs = [1]                    # descending: c_0, c_1, ...
-        m = [[0] * n for _ in range(n)]
-        for k in range(1, n + 1):
-            for i in range(n):
-                m[i][i] += coeffs[-1]
-            m = _int_product(m, cols)
-            c, r = divmod(-sum(m[i][i] for i in range(n)), k)
-            if r:
-                raise InvariantError("Faddeev-LeVerrier trace of an integer "
-                                     "matrix is not divisible by its step")
-            coeffs.append(c)
-        return tuple(Fraction(c, denom ** k)
+        bound = 2 * prod(2 + isqrt(sum(map(mul, row, row))) for row in rows)
+        source = primes()
+        modulus = next(source)
+        coeffs = charpoly_mod(rows, modulus)    # descending: c_0, c_1, ...
+        while modulus <= bound:
+            p = next(source)
+            inv = pow(modulus, -1, p)
+            coeffs = [c + modulus * ((r - c) * inv % p)
+                      for c, r in zip(coeffs, charpoly_mod(rows, p))]
+            modulus *= p
+        half = modulus // 2
+        return tuple(Fraction(c - modulus if c > half else c, denom ** k)
                      for k, c in reversed(list(enumerate(coeffs))))
 
     def det(self):

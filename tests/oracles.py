@@ -2,17 +2,20 @@
 
 Everything in here deliberately avoids the code paths it is used to check:
 determinants of polynomial matrices go through plain cofactor expansion
-(the library uses a trace recursion), ranks, reduced echelon forms,
+(the library reduces modulo primes to Hessenberg form), ranks, reduced
+echelon forms,
 kernels and solutions go through textbook Gauss-Jordan elimination over
 Fractions (the library runs it fraction-free on integer rows and divides
 once at the end),
 invariant factors come from gcds of minors (the library uses a cyclic
 decomposition), polynomial gcds and division run Euclid and long division
 over Fractions (the library uses integer pseudo-remainders and integer
-long division), products and the trace recursion run entry by entry
-over Fractions (the library runs them on denominator-cleared integers),
-and integer roots come from trying every divisor of the constant term
-(the library lifts roots mod a prime p-adically).
+long division), products and the Faddeev-LeVerrier trace recursion run
+entry by entry over Fractions (the library runs products on
+denominator-cleared integers), integer roots come from trying every
+divisor of the constant term (the library lifts roots mod a prime
+p-adically), and primes come from trial division and Fermat's test (the
+library runs Miller-Rabin).
 
 The reference reports are the one exception: they call the library's
 public functions, one per fact and each on the bare basic set, so every
@@ -232,6 +235,37 @@ def charpoly_cofactor(a):
     char = [[[-a[i, j], 1] if i == j else [-a[i, j]] for j in range(n)]
             for i in range(n)]
     return tuple(det_poly(char))
+
+
+def is_prime_trial(n):
+    """Primality by trial division by every d <= sqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+SMALL_PRIMES = [d for d in range(2, 10 ** 4) if is_prime_trial(d)]
+
+
+def is_prime_fermat(n, bases=(2, 3, 5, 7, 11, 13, 17, 19, 23)):
+    """Trial division by every prime below 10^4, then Fermat's test to
+    several bases (the library runs Miller-Rabin)."""
+    if n < 2:
+        return False
+    for d in SMALL_PRIMES:
+        if n % d == 0:
+            return n == d
+    return all(pow(a, n - 1, n) == 1 for a in bases)
+
+
+def primes_below_oracle(limit, count):
+    """The count largest primes below limit, largest first, by
+    is_prime_fermat on every number in turn."""
+    found = []
+    n = limit - 1
+    while len(found) < count:
+        if is_prime_fermat(n):
+            found.append(n)
+        n -= 1
+    return found
 
 
 def random_rational_matrix(rng, rows, cols, max_den=7, bound=6):
@@ -494,9 +528,10 @@ __all__ = [
     "block_diag", "char_reversed_oracle", "charpoly_cofactor",
     "charpoly_oracle", "column_rref_oracle", "companion", "conjugate",
     "det_oracle", "det_poly", "integer_roots_oracle",
-    "invariant_factors_oracle", "jordan_block",
-    "kernel_oracle", "mat_mul_oracle", "poly_divmod_oracle",
-    "poly_gcd_oracle", "quadratic_companion_block", "random_int_matrix",
+    "invariant_factors_oracle", "is_prime_fermat", "is_prime_trial",
+    "jordan_block", "kernel_oracle", "mat_mul_oracle", "poly_divmod_oracle",
+    "poly_gcd_oracle", "primes_below_oracle", "quadratic_companion_block",
+    "random_int_matrix",
     "random_rational_matrix", "random_shift_graph", "random_unimodular",
     "reference_index_report", "reference_verify_report", "rref_oracle",
     "rref_rank", "solve_oracle", "zero_column", "zeta_via_index_reference",

@@ -242,6 +242,13 @@ class TestLefschetz:
         with pytest.raises(DomainError):
             lefschetz_series(TORUS_P, 2, 0)
 
+    @pytest.mark.parametrize("fn", [
+        conley_index, zeta_basic_set, zeta_via_index,
+        lambda b, dim: lefschetz_series(b, dim, 4)])
+    def test_index_above_the_ambient_dimension_is_refused(self, fn):
+        with pytest.raises(ValidationError, match="exceeds the ambient"):
+            fn(basic("high", [[2]], 3), 2)
+
     def test_matches_fraction_powers(self):
         rng = random.Random(229)
         for _ in range(40):

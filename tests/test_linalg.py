@@ -1,10 +1,15 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import islice
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conley import linalg
+from conley._modular import is_prime, primes
 from conley.errors import DomainError, InvariantError, ShapeError
 from conley.linalg import (RationalMatrix, Subspace, char_reversed,
                            char_reversed_rational, column_rref, column_space,
@@ -12,11 +17,12 @@ from conley.linalg import (RationalMatrix, Subspace, char_reversed,
                            solve_columns)
 from conley.poly import IntPolynomial
 
-from oracles import (char_reversed_oracle, charpoly_cofactor,
-                     charpoly_oracle, column_rref_oracle, kernel_oracle,
-                     mat_mul_oracle, random_int_matrix,
-                     random_rational_matrix, rref_oracle, rref_rank,
-                     solve_oracle)
+from oracles import (block_diag, char_reversed_oracle, charpoly_cofactor,
+                     charpoly_oracle, column_rref_oracle, conjugate,
+                     is_prime_trial, kernel_oracle, mat_mul_oracle,
+                     primes_below_oracle, random_int_matrix,
+                     random_rational_matrix, random_unimodular, rref_oracle,
+                     rref_rank, solve_oracle)
 
 HORSESHOE = RationalMatrix.from_rows([[1, -1], [1, -1]])
 TORUS = RationalMatrix.from_rows([[0, 1], [-1, 1]])
@@ -461,3 +467,179 @@ class TestCanonicalStorage:
                 assert (x == y) == (x.tolist() == y.tolist())
                 if x == y:
                     assert hash(x) == hash(y)
+
+
+def _check_charpoly(a):
+    """a.charpoly() equals the Fraction Faddeev-LeVerrier oracle and, for
+    n <= 5, cofactor expansion."""
+    got = a.charpoly()
+    assert got == charpoly_oracle(a)
+    if a.rows <= 5:
+        assert got == charpoly_cofactor(a)
+    assert all(type(c) is Fraction for c in got) and got[-1] == 1
+    return got
+
+
+def _iroot(x, n):
+    """The largest r >= 0 with r^n <= x."""
+    lo, hi = 0, 1 << (x.bit_length() // n + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid ** n <= x else (lo, mid - 1)
+    return lo
+
+
+class TestModularCharpoly:
+    """charpoly reduces B = D a modulo primes below 2^62 to Hessenberg
+    form and rebuilds the coefficients by the CRT under a Hadamard bound;
+    each case is checked against the two oracles."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(0, 10).flatmap(lambda n: st.lists(
+        st.integers(-2**100, 2**100), min_size=n * n,
+        max_size=n * n).map(lambda e: RationalMatrix(n, n, e))))
+    def test_integer_matrices_with_large_entries(self, a):
+        _check_charpoly(a)
+
+    def test_entries_of_100_bits_need_several_primes(self):
+        rng = random.Random(37)
+        a = RationalMatrix.from_rows(
+            [[rng.choice((-1, 1)) * 2 ** 100 + rng.randint(-9, 9)
+              for _ in range(10)] for _ in range(10)])
+        # |det| > 2^124 > the product of any two primes below 2^62
+        assert abs(_check_charpoly(a)[0]) > 2 ** 124
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.fractions(min_value=-10**6, max_value=10**6,
+                     max_denominator=10**6),
+        min_size=n * n, max_size=n * n).map(
+            lambda e: RationalMatrix(n, n, e))))
+    def test_rational_matrices(self, a):
+        _check_charpoly(a)
+
+    def test_entries_that_vanish_modulo_the_first_prime(self):
+        p = primes_below_oracle(2 ** 62, 1)[0]
+        rng = random.Random(41)
+        for n in range(1, 7):
+            a = random_int_matrix(rng, n) * p
+            _check_charpoly(a)
+            # The coefficient of t^k for p M is p^(n-k) times that for M.
+            assert (a * Fraction(1, p)).charpoly() == \
+                tuple(c / p ** (n - k) for k, c in enumerate(a.charpoly()))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda n: st.lists(
+        st.sampled_from([0, 0, 0, 0, 1, -1, 2]), min_size=n * n,
+        max_size=n * n).map(lambda e: RationalMatrix(n, n, e))))
+    def test_sparse_matrices_need_pivot_swaps_and_skips(self, a):
+        _check_charpoly(a)
+
+    def test_block_triangular_matrices(self):
+        rng = random.Random(43)
+        for _ in range(20):
+            sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+            n = sum(sizes)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            start = 0
+            for size in sizes:
+                for i in range(start + size, n):
+                    for j in range(start, start + size):
+                        rows[i][j] = 0
+                start += size
+            _check_charpoly(RationalMatrix.from_rows(rows))
+
+    def test_nilpotent_and_tiny_matrices(self):
+        rng = random.Random(47)
+        zero_char = {n: tuple(Fraction(int(k == n)) for k in range(n + 1))
+                     for n in range(9)}
+        for n in range(9):
+            upper = RationalMatrix.from_rows(
+                [[rng.randint(-5, 5) if j > i else 0 for j in range(n)]
+                 for i in range(n)])
+            assert _check_charpoly(upper) == zero_char[n]
+            if n:
+                u = random_unimodular(rng, n)
+                assert _check_charpoly(conjugate(u, upper)) == zero_char[n]
+        assert RationalMatrix.zeros(0, 0).charpoly() == (Fraction(1),)
+        for x in (0, 1, -1, 2 ** 61 - 1, -(2 ** 200), Fraction(-7, 3)):
+            assert _check_charpoly(RationalMatrix.from_rows([[x]])) == \
+                (-Fraction(x), Fraction(1))
+        assert _check_charpoly(block_diag(
+            [RationalMatrix.from_rows([[0, 1], [0, 0]])] * 3)) == zero_char[6]
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 2), (3, 3), (5, 2)])
+    def test_determinant_at_the_symmetric_residue_edge(self, n, k):
+        # diag(+-a, ..., +-a) has Hadamard bound H = (2 + a)^n, and the
+        # product M of the first k primes is the first to pass 2 H, so
+        # |det| = a^n lies within a factor 2 of H and just below M / 2.
+        ps = primes_below_oracle(2 ** 62, k)
+        modulus = prod(ps)
+        a = _iroot((modulus - 1) // 2, n) - 2
+        bound = (2 + a) ** n
+        assert prod(ps[:-1]) <= 2 * bound < modulus
+        assert bound <= 2 * a ** n
+        rng = random.Random(53 + n)
+        for negatives in range(n + 1):
+            signs = [-1] * negatives + [1] * (n - negatives)
+            rng.shuffle(signs)
+            d = RationalMatrix.from_rows(
+                [[s * a if i == j else 0 for j in range(n)]
+                 for i, s in enumerate(signs)])
+            det = prod(signs) * a ** n
+            got = _check_charpoly(d)
+            assert d.det() == det
+            assert got[0] == (-1) ** n * det
+
+
+def test_charpoly_forms_no_matrix_product(monkeypatch):
+    # Faddeev-LeVerrier multiplied n integer matrices, O(n^4); the
+    # modular route must form none.
+    calls = []
+    product = linalg._int_product
+
+    def counting(rows, cols):
+        calls.append(len(rows))
+        return product(rows, cols)
+
+    monkeypatch.setattr(linalg, "_int_product", counting)
+    a = random_int_matrix(random.Random(59), 12, -9, 9)
+    assert mat_mul(a, a) == a ** 2 and calls
+    calls.clear()
+    a.charpoly()
+    a.det()
+    char_reversed(a)
+    assert calls == []
+
+
+class TestPrimeSource:
+    def test_first_prime_below_2_62(self):
+        assert next(primes()) == 2 ** 62 - 57
+
+    def test_primes_match_the_fermat_oracle(self):
+        assert list(islice(primes(), 8)) == primes_below_oracle(2 ** 62, 8)
+
+    def test_miller_rabin_matches_trial_division(self):
+        assert [n for n in range(10 ** 5) if is_prime(n)] == \
+            [n for n in range(10 ** 5) if is_prime_trial(n)]
+
+    @pytest.mark.parametrize("n, factors", [
+        (3215031751, (151, 751, 28351)),
+        (2152302898747, (6763, 10627, 29947)),
+        (3474749660383, (1303, 16927, 157543)),
+        (341550071728321, (10670053, 32010157)),
+        (3825123056546413051, (149491, 747451, 34233211)),
+    ])
+    def test_strong_pseudoprimes_to_the_first_bases_are_composite(
+            self, n, factors):
+        # Each passes Miller-Rabin to the first four to nine prime bases.
+        assert prod(factors) == n
+        assert not is_prime(n)
+
+    def test_importing_the_package_finds_no_prime(self):
+        code = ("import conley, conley.cli, conley._modular as m; "
+                "print(len(m.PRIMES))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             timeout=30).stdout
+        assert out.strip() == "0"
