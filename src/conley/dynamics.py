@@ -421,8 +421,7 @@ def morse_split_check(system, q):
             lhs = lhs * zeta_basic_set(basic, system.ambient_dim)
     rhs = RationalFunction(1)
     for k in range(q + 1):
-        factor = RationalFunction(char_reversed(system.ambient_maps[k]))
-        rhs = rhs * factor ** ((-1) ** (k + 1))
+        rhs = rhs * _in_degree(char_reversed(system.ambient_maps[k]), k)
     ratio = rhs * lhs.inverse()
     p_of_t = ratio if q % 2 == 0 else ratio.inverse()
     report = MorseReport(q=q, lhs_product=lhs, rhs_product=rhs,

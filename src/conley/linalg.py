@@ -14,8 +14,8 @@ input, and the reduced echelon form is d times an integer matrix, which
 becomes the stored form with denominator d.  The cyclic decomposition
 behind ``spectral.invariant_factors`` calls the same elimination directly
 on its integer Krylov chains.
-Subspaces carry a canonical basis (the reduced column echelon form), so
-equal subspaces compare equal entrywise.
+Subspaces carry a canonical basis (the reduced column echelon form) built
+by one elimination, so equal subspaces compare equal entrywise.
 """
 
 from __future__ import annotations
@@ -345,12 +345,18 @@ class Subspace:
             raise ShapeError("more basis columns than the ambient dimension")
         if basis.cols and basis.rank() != basis.cols:
             raise InvariantError("subspace basis columns are dependent")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        self.ambient_dim, self.basis = ambient_dim, basis
+
+    @classmethod
+    def _from_echelon(cls, ambient_dim, basis):
+        """Skips the rank check: basis is an elimination's echelon form."""
+        s = object.__new__(cls)
+        s.ambient_dim, s.basis = ambient_dim, basis
+        return s
 
     @classmethod
     def spanned_by_columns(cls, m):
-        return cls(m.rows, column_rref(m))
+        return cls._from_echelon(m.rows, column_rref(m))
 
     @property
     def dim(self):
@@ -380,15 +386,10 @@ class Subspace:
 
 def column_rref(m):
     """Canonical basis (reduced column echelon form) of the column space."""
-    return _echelon_basis(_columns(m._scaled_int_rows()[1], m.cols), m.rows)
-
-
-def _echelon_basis(vectors, n):
-    """The reduced column echelon form of the span of integer vectors of
-    length n, as an n x rank matrix; vectors is consumed."""
+    vectors = _columns(m._scaled_int_rows()[1], m.cols)
     pivots, d = _gauss_jordan(vectors)
     r = len(pivots)
-    return RationalMatrix._from_scaled(_columns(vectors[:r], n), r, d)
+    return RationalMatrix._from_scaled(_columns(vectors[:r], m.rows), r, d)
 
 
 def column_space(a):
@@ -399,20 +400,24 @@ def column_space(a):
 def kernel_basis(a):
     """Canonical basis of the exact null space {v : a v = 0}.
 
-    With d times the reduced row echelon form in m, the free column f
-    gives the integer null vector with d at f and -m[r][f] at pivot
-    column p_r; the result is normalised to reduced column echelon form.
+    m is d times the reduced row echelon form of a with its columns taken
+    last to first, so a free column f of a meets only pivots after it, and
+    its null vector (d at f, -m[r][n - 1 - f] at the pivot of row r) starts
+    at f, where every other one is zero: in increasing f these vectors are
+    the reduced column echelon form.
     """
-    m = a._scaled_int_rows()[1]
+    n = a.cols
+    m = [row[::-1] for row in a._scaled_int_rows()[1]]
     pivots, d = _gauss_jordan(m)
     vectors = []
-    for f in (c for c in range(a.cols) if c not in pivots):
-        v = [0] * a.cols
+    for f in (c for c in range(n) if n - 1 - c not in pivots):
+        v = [0] * n
         v[f] = d
         for r, p in enumerate(pivots):
-            v[p] = -m[r][f]
+            v[n - 1 - p] = -m[r][n - 1 - f]
         vectors.append(v)
-    return Subspace(a.cols, _echelon_basis(vectors, a.cols))
+    return Subspace._from_echelon(n, RationalMatrix._from_scaled(
+        _columns(vectors, n), len(vectors), d))
 
 
 def solve_columns(b, c):
@@ -433,8 +438,6 @@ def solve_columns(b, c):
 def inverse(a):
     """Exact inverse of a square nonsingular matrix."""
     a._require_square("inverse")
-    if a.rank() != a.rows:
-        raise DomainError("matrix is singular")
     return solve_columns(a, RationalMatrix.identity(a.rows))
 
 

@@ -137,10 +137,7 @@ class IntPolynomial:
         """Primitive part with positive leading coefficient."""
         if self.is_zero:
             return self
-        g = self.content()
-        if self.leading < 0:
-            g = -g
-        return IntPolynomial([c // g for c in self.coeffs])
+        return IntPolynomial(_primitive(list(self.coeffs)))
 
     @property
     def is_monic(self):

@@ -18,9 +18,9 @@ in time polynomial in the degree and the coefficients' bit length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from operator import mul
 
+from ._modular import is_prime
 from .errors import DomainError, InvariantError
 from .linalg import (RationalMatrix, Subspace, _gauss_jordan, column_space,
                      kernel_basis, solve_columns)
@@ -269,7 +269,7 @@ def _lifting_prime(coeffs, deriv):
     p = 1
     while True:
         p += 1
-        if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        if not is_prime(p):
             continue
         reduced = [c % p for c in coeffs]
         roots = [r for r in range(p) if not _eval_mod(reduced, r, p)]

@@ -265,8 +265,14 @@ class TestSolveAndInverse:
             done += 1
 
     def test_inverse_singular(self):
-        with pytest.raises(DomainError):
-            inverse(HORSESHOE)
+        # The third row of the rational matrix is the sum of the first two.
+        rational = RationalMatrix.from_rows(
+            [[Fraction(1, 2), Fraction(1, 3), 1],
+             [1, Fraction(-2, 5), Fraction(3, 7)],
+             [Fraction(3, 2), Fraction(-1, 15), Fraction(10, 7)]])
+        for a in (HORSESHOE, rational):
+            with pytest.raises(DomainError):
+                inverse(a)
 
     def test_empty_matrix_charpoly(self):
         empty = RationalMatrix.zeros(0, 0)
@@ -316,7 +322,9 @@ class TestGaussJordanAgainstOracle:
     def test_column_rref(self, a):
         basis = column_rref(a)
         assert basis == column_rref_oracle(a)
-        assert column_space(a).basis == basis
+        space = column_space(a)
+        assert space.basis == basis
+        assert Subspace(space.ambient_dim, space.basis) == space
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(matrices())
@@ -324,6 +332,7 @@ class TestGaussJordanAgainstOracle:
         space = kernel_basis(a)
         assert space.basis == kernel_oracle(a)
         assert a * space.basis == RationalMatrix.zeros(a.rows, space.dim)
+        assert Subspace(space.ambient_dim, space.basis) == space
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.integers(0, 5), st.integers(0, 4), st.integers(0, 3),
@@ -610,6 +619,32 @@ def test_charpoly_forms_no_matrix_product(monkeypatch):
     a.det()
     char_reversed(a)
     assert calls == []
+
+
+@pytest.mark.parametrize("a", [
+    RationalMatrix.from_rows(
+        [[Fraction(1, 2), 1, 0, Fraction(2, 3), 1],
+         [1, 2, 0, Fraction(4, 3), 2],
+         [0, Fraction(1, 5), 1, 0, -1],
+         [Fraction(1, 2), Fraction(6, 5), 1, Fraction(2, 3), 0]]),
+    RationalMatrix.zeros(4, 5),
+    RationalMatrix.from_rows([[2, 1, 0], [1, 3, 1], [0, 1, 4]]),
+], ids=["rank_deficient", "zero", "full_rank"])
+def test_one_elimination_per_subspace(monkeypatch, a):
+    # The kernel's canonical basis comes straight out of its elimination,
+    # and neither subspace re-ranks the basis that elimination built.
+    calls = []
+    eliminate = linalg._gauss_jordan
+
+    def counting(m):
+        calls.append(len(m))
+        return eliminate(m)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counting)
+    for build in (column_space, kernel_basis):
+        calls.clear()
+        build(a)
+        assert len(calls) == 1, build.__name__
 
 
 class TestPrimeSource:

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import conley
 from conftest import HANG_GUARD_S, HangGuardTimeout
 from conley.cli import main
 
@@ -86,3 +87,30 @@ def test_library_imports_only_the_standard_library():
     outside = {name: where for name, where in imported.items()
                if name not in sys.stdlib_module_names}
     assert outside == {}
+
+
+PUBLIC_API = [
+    "BasicSetSpec", "ConleyError", "ConleyIndex", "DomainError",
+    "EigenClass", "IndexEntry", "InducedMap", "IntPolynomial",
+    "InvariantError", "JordanProfile", "KIND_COMPLEX", "KIND_RATIONAL",
+    "KIND_UNRESOLVED", "MorseReport", "Rational", "RationalFunction",
+    "RationalMatrix", "ResourceError", "ShapeError", "StructureMatrix",
+    "Subspace", "SystemSpec", "ValidationError", "VertexShiftSpec",
+    "build_structure_matrix", "char_reversed", "char_reversed_rational",
+    "column_space", "conley_index", "count_periodic",
+    "enumerate_periodic_oracle", "generalized_image", "generalized_kernel",
+    "invariant_factors", "inverse", "is_similar", "jordan_profile",
+    "kernel_basis", "lefschetz_series", "mat_mul", "morse_split_check",
+    "nonnilpotent_part", "parse_system", "poly_divmod", "poly_gcd",
+    "poly_mul", "rank", "ratfunc_inv", "ratfunc_mul", "solve_columns",
+    "squarefree_decomposition", "system_from_dict", "system_to_dict",
+    "zeta_basic_set", "zeta_via_index",
+]
+
+
+def test_public_api_is_pinned():
+    # A simplification keeps the public library API: adding or dropping a
+    # name has to change this list on purpose.
+    assert sorted(conley.__all__) == PUBLIC_API
+    for name in PUBLIC_API:
+        assert hasattr(conley, name), name
