@@ -214,6 +214,14 @@ class ConleyIndex:
                                  "one nontrivial degree")
         self.graded = graded
 
+    @classmethod
+    def _of_invertible(cls, degree, entry):
+        """Skips the rank check: entry.matrix is an A+ from
+        nonnilpotent_part, invertible by construction."""
+        index = object.__new__(cls)
+        index.graded = {degree: entry}
+        return index
+
     def entry(self, k):
         return self.graded.get(k)
 
@@ -290,7 +298,7 @@ def conley_index(basic, ambient_dim):
     entry = IndexEntry(dim=induced.dim, matrix=induced.matrix,
                        invariant_factors=tuple(
                            invariant_factors(induced.matrix)))
-    return ConleyIndex({facts.basic.index_u: entry})
+    return ConleyIndex._of_invertible(facts.basic.index_u, entry)
 
 
 def zeta_basic_set(basic, ambient_dim):

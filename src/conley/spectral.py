@@ -1,6 +1,11 @@
 """Eventual kernel and image, induced invertible parts, and exact
 conjugacy invariants of rational matrices.
 
+The eventual image is the stable member of the chain im A >= im A^2 >=
+..., built one elimination per step until a step keeps the dimension;
+there A maps the image onto itself, so the induced map A+ is invertible
+without a further rank check.
+
 Similarity over the rationals is certified by invariant factors (the
 diagonal of the Smith normal form of tI - A over Q[t]), obtained from a
 cyclic decomposition: the minimal polynomial is the annihilator of a
@@ -34,15 +39,31 @@ KIND_UNRESOLVED = "unresolved"
 
 def generalized_kernel(a):
     """ker(a^n) for an n x n matrix: the stabilised member of the chain
-    ker a <= ker a^2 <= ..., with canonical basis."""
+    ker a <= ker a^2 <= ..., with canonical basis.
+
+    It forms a^n rather than stopping where the chain stabilises, so that
+    it shares no step with generalized_image: dim ker a^n + dim im a^k = n
+    then compares two independent computations, where a stopping power
+    shared by both would make it hold by rank-nullity alone."""
     a._require_square("generalized kernel")
     return kernel_basis(a ** a.rows)
 
 
 def generalized_image(a):
-    """Column space of a^n for an n x n matrix, with canonical basis."""
+    """The eventual image im a^n of an n x n matrix, with canonical basis.
+
+    It follows the chain V_0 = Q^n >= V_1 >= ..., V_(k+1) = a V_k, one
+    elimination of a times the basis of V_k per step, so no power of a
+    is formed.  At the first step that keeps the dimension, a maps V_k
+    onto itself, so every later member equals V_k, and the subspace just
+    built is V_k itself (the canonical basis is unique).  The dimension
+    falls at each earlier step, so there are at most n + 1 eliminations.
+    """
     a._require_square("generalized image")
-    return column_space(a ** a.rows)
+    dim, image = a.rows, a
+    while (space := column_space(image)).dim != dim:
+        dim, image = space.dim, a * space.basis
+    return space
 
 
 @dataclass(frozen=True)
@@ -64,7 +85,10 @@ class InducedMap:
         return self.matrix.rows
 
     def verify(self):
-        """Recheck the intertwining identity and invertibility exactly."""
+        """Check the intertwining identity and invertibility exactly.
+
+        nonnilpotent_part proves invertibility by construction and does
+        not rank the matrix, so this is the one explicit check of it."""
         b = self.image_basis.basis
         if self.source * b != b * self.matrix:
             raise InvariantError("induced map does not intertwine its basis")
@@ -79,20 +103,15 @@ def nonnilpotent_part(a):
     The quotient of the ambient space by the eventual kernel is canonically
     isomorphic to the eventual image, and a maps that image bijectively to
     itself, so this is the nonnilpotent part of a.  A nilpotent input gives
-    the empty 0 x 0 map.
+    the empty 0 x 0 map.  The matrix is not ranked: generalized_image
+    stops only where a maps the image onto itself, which is the statement
+    that this matrix is invertible.
     """
     a._require_square("nonnilpotent part")
     image = generalized_image(a)
     basis = image.basis
-    if image.dim == 0:
-        matrix = RationalMatrix.zeros(0, 0)
-    else:
-        matrix = solve_columns(basis, a * basis)
-        if matrix.rank() != image.dim:
-            raise InvariantError("restriction to the eventual image "
-                                 "is singular")
-    return InducedMap(matrix=matrix, image_basis=image,
-                      ambient_dim=a.rows, source=a)
+    return InducedMap(matrix=solve_columns(basis, a * basis),
+                      image_basis=image, ambient_dim=a.rows, source=a)
 
 
 # ---------------------------------------------------------------------------

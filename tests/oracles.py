@@ -14,8 +14,9 @@ long division), products and the Faddeev-LeVerrier trace recursion run
 entry by entry over Fractions (the library runs products on
 denominator-cleared integers), integer roots come from trying every
 divisor of the constant term (the library lifts roots mod a prime
-p-adically), and primes come from trial division and Fermat's test (the
-library runs Miller-Rabin).
+p-adically), primes come from trial division and Fermat's test (the
+library runs Miller-Rabin), and the eventual image is the column space of
+A^n (the library follows the chain im A^k until its dimension holds).
 
 The reference reports are the one exception: they call the library's
 public functions, one per fact and each on the bare basic set, so every
@@ -32,7 +33,8 @@ from conley.dynamics import (StepBudget, conley_index, count_periodic,
                              enumerate_periodic_oracle, lefschetz_series,
                              zeta_basic_set, zeta_via_index)
 from conley.errors import ResourceError
-from conley.linalg import RationalMatrix, char_reversed_rational, inverse
+from conley.linalg import (RationalMatrix, Subspace, char_reversed_rational,
+                           inverse)
 from conley.poly import RationalFunction
 from conley.report import _check, _set_header, encode_matrix, encode_poly
 from conley.spectral import generalized_kernel, nonnilpotent_part
@@ -171,6 +173,13 @@ def column_rref_oracle(m):
     pivots = rref_oracle(rows)
     return RationalMatrix(m.rows, len(pivots), [
         rows[j][i] for i in range(m.rows) for j in range(len(pivots))])
+
+
+def eventual_image_oracle(a):
+    """im a^n for an n x n RationalMatrix: a^n eliminated once by the
+    Fraction elimination (the library follows the chain im a^k and forms
+    no power)."""
+    return Subspace(a.rows, column_rref_oracle(a ** a.rows))
 
 
 def kernel_oracle(m):
@@ -527,7 +536,8 @@ def reference_verify_report(system, max_enum=6):
 __all__ = [
     "block_diag", "char_reversed_oracle", "charpoly_cofactor",
     "charpoly_oracle", "column_rref_oracle", "companion", "conjugate",
-    "det_oracle", "det_poly", "integer_roots_oracle",
+    "det_oracle", "det_poly", "eventual_image_oracle",
+    "integer_roots_oracle",
     "invariant_factors_oracle", "is_prime_fermat", "is_prime_trial",
     "jordan_block", "kernel_oracle", "mat_mul_oracle", "poly_divmod_oracle",
     "poly_gcd_oracle", "primes_below_oracle", "quadratic_companion_block",

@@ -1,19 +1,21 @@
 import random
+import sys
 import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conley import dynamics, spectral
-from conley.dynamics import (BasicSetAnalysis, BasicSetSpec, StepBudget,
-                             StructureMatrix,
+from conley.dynamics import (BasicSetAnalysis, BasicSetSpec, ConleyIndex,
+                             IndexEntry, StepBudget, StructureMatrix,
                              SystemSpec, VertexShiftSpec,
                              build_structure_matrix,
                              conley_index, count_periodic,
                              enumerate_periodic_oracle, lefschetz_series,
                              morse_split_check, zeta_basic_set,
                              zeta_via_index)
-from conley.errors import DomainError, ResourceError, ValidationError
+from conley.errors import (DomainError, InvariantError, ResourceError,
+                           ValidationError)
 from conley.linalg import RationalMatrix
 from conley.poly import IntPolynomial, RationalFunction, poly_mul
 from conley.report import build_index_report, build_verify_report
@@ -495,6 +497,47 @@ def test_verify_computes_each_fact_once(monkeypatch):
     for _ in range(2):
         counts.clear()
         assert build_verify_report(system)["ok"]
-        # A^n is formed once inside generalized_image (for A+) and once
-        # inside generalized_kernel: both are public functions of A alone.
-        assert counts == {"charpoly": 2, "image": 1, "power": 2}
+        # Only generalized_kernel forms A^n; generalized_image follows
+        # the chain im A^k and forms no power.
+        assert counts == {"charpoly": 2, "image": 1, "power": 1}
+
+
+def _rank_callers(monkeypatch):
+    """The qualified names of the functions that call RationalMatrix.rank,
+    one per call, while the monkeypatch holds."""
+    callers = []
+    rank = RationalMatrix.rank
+
+    def recording(m):
+        callers.append(sys._getframe(1).f_code.co_qualname)
+        return rank(m)
+
+    monkeypatch.setattr(RationalMatrix, "rank", recording)
+    return callers
+
+
+def test_a_singular_index_automorphism_is_refused():
+    singular = RationalMatrix.from_rows([[1, 2], [2, 4]])
+    with pytest.raises(InvariantError, match="singular"):
+        ConleyIndex({1: IndexEntry(dim=2, matrix=singular,
+                                   invariant_factors=())})
+
+
+@pytest.mark.parametrize("system", [
+    SystemSpec(basic_sets=(FOURHANDLE,), ambient_dim=2),
+    _fractional_plus_system()], ids=["four-handle", "derogatory"])
+def test_index_does_not_rank_the_index_automorphism(monkeypatch, system):
+    callers = _rank_callers(monkeypatch)
+    build_index_report(system)
+    assert callers == []
+
+
+def test_verify_ranks_each_nonzero_index_once(monkeypatch):
+    # Horseshoe has the trivial index, the other four a nonzero one; the
+    # one elimination of A+ is the explicit induced_map check.
+    sets = (HORSESHOE, TORUS_P, TORUS_LAMBDA, FOURHANDLE,
+            *_fractional_plus_system().basic_sets)
+    system = SystemSpec(basic_sets=sets, ambient_dim=4)
+    callers = _rank_callers(monkeypatch)
+    assert build_verify_report(system)["ok"]
+    assert callers == ["InducedMap.verify"] * 4

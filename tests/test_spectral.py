@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conley import linalg, spectral
 from conley.errors import DomainError, InvariantError, ShapeError
@@ -16,10 +16,10 @@ from conley.spectral import (KIND_COMPLEX, KIND_RATIONAL, KIND_UNRESOLVED,
                              nonnilpotent_part)
 
 from oracles import (block_diag, companion, conjugate,
-                     integer_roots_oracle, invariant_factors_oracle,
-                     jordan_block,
+                     eventual_image_oracle, integer_roots_oracle,
+                     invariant_factors_oracle, jordan_block,
                      quadratic_companion_block, random_int_matrix,
-                     random_unimodular, zero_column)
+                     random_rational_matrix, random_unimodular, zero_column)
 
 HORSESHOE = RationalMatrix.from_rows([[1, -1], [1, -1]])
 TORUS = RationalMatrix.from_rows([[0, 1], [-1, 1]])
@@ -152,6 +152,72 @@ class TestNonnilpotentPart:
             assert induced.dim == a.rows
             assert is_similar(induced.matrix, a)
             done += 1
+
+
+@st.composite
+def eventual_image_cases(draw):
+    """An integer matrix (n <= 10), the same with a column zeroed, a
+    unimodular conjugate of a nilpotent Jordan block, or a rational
+    matrix; n = 0 and 1 are drawn like any other size."""
+    family = draw(st.sampled_from(
+        ["integer", "zero_column", "nilpotent", "rational"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    n = draw(st.integers(0, 10 if family != "rational" else 6))
+    if n == 0:
+        return RationalMatrix.zeros(0, 0)
+    if family == "nilpotent":
+        return conjugate(random_unimodular(rng, n), jordan_block(0, n))
+    if family == "rational":
+        return random_rational_matrix(rng, n, n)
+    a = random_int_matrix(rng, n)
+    if family == "zero_column":
+        a = zero_column(a, rng.randrange(n))
+    return a
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(eventual_image_cases())
+@example(RationalMatrix.zeros(0, 0))
+@example(RationalMatrix.from_rows([[0]]))
+@example(RationalMatrix.from_rows([[3]]))
+@example(RationalMatrix.from_rows([[Fraction(1, 2)]]))
+def test_image_chain_matches_the_power_route(a):
+    # The chain stops at the first step that keeps the dimension; the
+    # oracle eliminates a^n.  The same stop makes A+ invertible.
+    image = generalized_image(a)
+    assert image == eventual_image_oracle(a)
+    assert nonnilpotent_part(a).matrix.rank() == image.dim
+
+
+def _chain_counts(monkeypatch, a):
+    """(dim of generalized_image(a), powers formed, column_space calls)."""
+    counts = {"power": 0, "column_space": 0}
+    pow_ = RationalMatrix.__pow__
+
+    def power(m, k):
+        counts["power"] += 1
+        return pow_(m, k)
+
+    def space(m):
+        counts["column_space"] += 1
+        return linalg.column_space(m)
+
+    monkeypatch.setattr(RationalMatrix, "__pow__", power)
+    monkeypatch.setattr(spectral, "column_space", space)
+    dim = generalized_image(a).dim
+    return dim, counts["power"], counts["column_space"]
+
+
+def test_image_chain_of_a_nonsingular_matrix_is_one_elimination(monkeypatch):
+    a = random_int_matrix(random.Random(48), 48)
+    assert _chain_counts(monkeypatch, a) == (48, 0, 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_image_chain_of_a_nilpotent_block_takes_k_plus_one_steps(
+        monkeypatch, k):
+    a = conjugate(random_unimodular(random.Random(k), k), jordan_block(0, k))
+    assert _chain_counts(monkeypatch, a) == (0, 0, k + 1)
 
 
 class TestInvariantFactors:
