@@ -12,7 +12,11 @@ cyclic decomposition: the minimal polynomial is the annihilator of a
 suitable vector, and the rest comes from the map induced on the quotient
 by that vector's cyclic subspace.  All of it runs on integer rows: one
 fraction-free elimination of the Krylov chain gives the annihilator, and
-a second, of the chain beside the identity, the quotient map.  The block
+a second, of the chain's independent vectors as rows, the quotient map as
+a Schur complement.  A module is generated by a trial vector and the
+lifts of its quotient's generators, so an annihilator is certified to be
+the minimal polynomial on the lifted trial vectors of the lower levels,
+not on every unit vector.  The block
 structure per irreducible factor of the characteristic polynomial is
 read off the same invariant factors, so the index and the block profile
 share one computation and never leave exact arithmetic.  Integer
@@ -122,34 +126,61 @@ def _apply(rows, w):
     return [sum(map(mul, row, w)) for row in rows]
 
 
-def _kills(rows, q, j):
-    """True when q(B) e_j = 0, B the integer matrix with these rows and q
+def _trial(n, x):
+    """The trial vector (1, x, x^2, ..., x^(n-1))."""
+    return [x ** i for i in range(n)]
+
+
+def _kills(rows, q, w):
+    """True when q(B) w = 0, B the integer matrix with these rows and q
     ascending integer coefficients (Horner's rule)."""
-    w = [0] * len(rows)
-    for c in reversed(q):
-        w = _apply(rows, w)
-        w[j] += c
-    return not any(w)
+    out = [q[-1] * z for z in w]
+    for c in reversed(q[:-1]):
+        out = [sum(map(mul, row, out)) + c * z for row, z in zip(rows, w)]
+    return not any(out)
 
 
-def _split_cyclic(denom, rows):
-    """(minimal polynomial of m, map induced on the quotient by a cyclic
-    subspace whose annihilator is that polynomial) for m = rows / denom,
-    int rows over a positive int denom; the quotient comes back in the
-    same form, in lowest terms.
+def _probe(rows, q, x):
+    """False proves q(B) != 0: it leaves the next trial vector alive."""
+    return _kills(rows, q, _trial(len(rows), x + 1))
 
-    Such a subspace has an m-invariant complement, so the quotient map
-    carries exactly the remaining invariant factors.  A vector misses the
-    minimal polynomial mu only inside ker (mu / r)(m) for one of the at
-    most n irreducible factors r of mu; any n trial vectors (1, x, x^2,
-    ...) are independent (Vandermonde), so each such proper subspace holds
-    at most n - 1 of them and one of the first n (n - 1) + 1 succeeds.
+
+def _quotient(denom, rows, chain):
+    """(units, D, rows'): the map induced by rows / denom on Q^n modulo the
+    span K of the d vectors in chain, on the classes of e_u, u in units, as
+    int rows' over a positive D in lowest terms.
+
+    Eliminating the d x n chain leaves l [I | (K_U K_R^-1)^T], l the last
+    pivot, R the pivot columns and U = units the others.  The class of x
+    is x_U - K_U K_R^-1 x_R, so B = rows induces the Schur complement
+    B_UU - K_U K_R^-1 B_RU = (l B_UU - E^T B_RU) / l, E the U columns.
+    """
+    pivots, last = _gauss_jordan(chain)
+    if len(pivots) != len(chain):
+        raise InvariantError("the independent Krylov vectors do not span")
+    units = [u for u in range(len(rows)) if u not in pivots]
+    across = [[rows[r][u] for r in pivots] for u in units]
+    quotient = RationalMatrix._from_scaled(
+        [[last * rows[u][k] - y for k, y in
+          zip(units, _apply(across, [row[u] for row in chain]))]
+         for u in units], len(units), last * denom)
+    return (units, *quotient._scaled_int_rows())
+
+
+def _split_cyclic(denom, rows, start):
+    """(x, q, units, D, rows') for the first trial vector v = (1, x, x^2,
+    ...), x >= start, whose annihilator q under B = rows passes the probe,
+    and _quotient's map modulo its cyclic subspace Z(v) ([], 1, [] if Z(v)
+    is everything).  If q is the minimal polynomial, Z(v) has an invariant
+    complement, so the quotient carries the other invariant factors.
+
+    v misses the minimal polynomial mu only inside ker (mu / r)(B), r one
+    of the at most n irreducible factors of mu; any n trial vectors are
+    independent (Vandermonde), so one of the first n (n - 1) + 1 succeeds.
     """
     n = len(rows)
-    for x in range(1, n * (n - 1) + 2):
-        # The Krylov chain of v under B = denom * m stays integral; a
-        # dependency c_k among the B^k v is c_k denom^k among the m^k v.
-        chain = [[x ** i for i in range(n)]]
+    for x in range(start, n * (n - 1) + 2):
+        chain = [_trial(n, x)]
         for _ in range(n):
             chain.append(_apply(rows, chain[-1]))
         krylov = [list(col) for col in zip(*chain)]
@@ -158,28 +189,10 @@ def _split_cyclic(denom, rows):
         # The pivots are columns 0..d-1, and column d is last times the
         # coordinates of B^d v on them: q(B) v = 0.
         q = [-krylov[k][d] for k in range(d)] + [last]
-        p = IntPolynomial([c * denom ** k
-                           for k, c in enumerate(q)]).normalized()
         if d == n:
-            return p, 1, []
-        # Eliminating [chain | I] inverts the basis of the chain and the
-        # unit vectors at its pivots among the identity columns; rows d..
-        # of its identity block are last times the quotient coordinates.
-        basis = [[v[i] for v in chain[:d]] + [int(i == j) for j in range(n)]
-                 for i in range(n)]
-        pivots, last = _gauss_jordan(basis)
-        if len(pivots) != n:
-            raise InvariantError("Krylov chain and unit vectors do not "
-                                 "span the space")
-        units = [c - d for c in pivots[d:]]
-        # q(B) is a nonzero multiple of denom^d p(m), which kills the
-        # chain, so p(m) = 0 once q(B) kills the units too.
-        if all(_kills(rows, q, j) for j in units):
-            unit_columns = [[row[j] for row in rows] for j in units]
-            quotient = RationalMatrix._from_scaled(
-                [_apply(unit_columns, row[d:]) for row in basis[d:]],
-                len(units), last * denom)
-            return (p, *quotient._scaled_int_rows())
+            return x, q, [], 1, []
+        if _probe(rows, q, x):
+            return (x, q, *_quotient(denom, rows, chain[:d]))
     raise InvariantError("no trial vector reached the minimal polynomial")
 
 
@@ -189,15 +202,40 @@ def invariant_factors(a):
     Each factor divides the next, their product is the characteristic
     polynomial, and the list determines a up to similarity over Q.
     Returned primitive and integral (monic for integer input).
+
+    Each level splits off a cyclic subspace Z(v) and hands its quotient
+    down.  A level's space is generated as a module by v and the lifts
+    (entries put at the units) of its quotient's generators, i.e. of the
+    lower levels' trial vectors.  q(B) commutes with B and kills v, so q is
+    the minimal polynomial once it kills those lifts.  Levels are certified
+    bottom up; one that fails moves to its next trial, its lower levels
+    redone.
     """
     a._require_square("invariant factors")
     denom, rows = a._scaled_int_rows()
-    factors = []
-    while rows:
-        p, denom, rows = _split_cyclic(denom, rows)
-        factors.append(p)
-    factors.reverse()
-    return factors
+    levels, start = [], 1
+    while True:
+        while rows:
+            x, q, units, *quotient = _split_cyclic(denom, rows, start)
+            levels.append((denom, rows, x, q, units))
+            start, (denom, rows) = 1, quotient
+        generators = []
+        for j in range(len(levels) - 1, -1, -1):
+            denom, rows, x, q, units = levels[j]
+            lifts = []
+            for g in generators:
+                lifts.append([0] * len(rows))
+                for u, c in zip(units, g):
+                    lifts[-1][u] = c
+            if not all(_kills(rows, q, w) for w in lifts):
+                del levels[j:]
+                start = x + 1
+                break
+            generators = [_trial(len(rows), x), *lifts]
+        else:
+            # B = denom m, so c_k B^k is c_k denom^k m^k.
+            return [IntPolynomial([c * denom ** k for k, c in enumerate(q)])
+                    .normalized() for denom, _, _, q, _ in reversed(levels)]
 
 
 def is_similar(a, b):

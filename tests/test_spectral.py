@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -44,6 +45,20 @@ MIXED_8 = block_diag([quadratic_companion_block(2, -2, 0),
                       companion([-3, 0, 1]), companion([-3, 0, 1])])
 MIXED_16 = block_diag([companion([-2, 0, 1])] * 4
                       + [quadratic_companion_block(2, -3, 0)] * 2)
+
+
+def derogatory_chains():
+    """Twenty unimodular conjugates of block_diag(companion(f) for f in
+    chain), with chain an invariant-factor chain of total degree 4 to 6,
+    within the oracle's reach; yields (matrix, chain)."""
+    rng = random.Random(143)
+    for _ in range(20):
+        chain = [[rng.randint(-2, 2), 1]]
+        while sum(len(f) - 1 for f in chain) < 4:
+            step = [rng.randint(-2, 2), 1] if rng.random() < 0.6 else [1]
+            chain.append(list(poly_mul(P(*chain[-1]), P(*step)).coeffs))
+        base = block_diag([companion(f) for f in chain])
+        yield conjugate(random_unimodular(rng, base.rows), base), chain
 
 
 class TestGeneralizedSpaces:
@@ -272,16 +287,7 @@ class TestInvariantFactors:
                 invariant_factors_oracle(plus)
 
     def test_derogatory_chains(self):
-        rng = random.Random(143)
-        for _ in range(20):
-            chain = [[rng.randint(-2, 2), 1]]
-            # stops at dimension 4 to 6, within the oracle's reach
-            while sum(len(f) - 1 for f in chain) < 4:
-                step = [rng.randint(-2, 2), 1] if rng.random() < 0.6 \
-                    else [1]
-                chain.append(list(poly_mul(P(*chain[-1]), P(*step)).coeffs))
-            base = block_diag([companion(f) for f in chain])
-            a = conjugate(random_unimodular(rng, base.rows), base)
+        for a, chain in derogatory_chains():
             got = invariant_factors(a)
             assert got == [P(*f) for f in chain]
             assert monic(got) == invariant_factors_oracle(a)
@@ -537,12 +543,18 @@ def _drop_last_pivot(when):
 
 
 @pytest.mark.parametrize("when, message", [
-    # Every elimination: the chain and the unit vectors stop spanning.
-    (lambda m, pivots: True, "do not span"),
+    # Every elimination: each annihilator loses its top coefficient, so
+    # the probe rejects every trial vector and the search stops at its
+    # bound before any chain is eliminated as rows.
+    (lambda m, pivots: True, "no trial vector"),
     # Only rank-deficient ones, i.e. Krylov chains of a derogatory
     # matrix: every trial vector fails, and the search stops at its bound.
     (lambda m, pivots: len(pivots) < len(m), "no trial vector"),
-], ids=["every", "rank_deficient"])
+    # Only full-rank ones: the derogatory Krylov chain keeps its
+    # annihilator, which passes the probe, and the elimination of the
+    # chain as rows then loses a pivot.
+    (lambda m, pivots: len(pivots) == len(m), "do not span"),
+], ids=["every", "rank_deficient", "full_rank"])
 def test_corrupted_elimination_raises_promptly(monkeypatch, when, message):
     a = block_diag([companion([-2, 0, 1])] * 2 + [companion([-1, 1])])
     monkeypatch.setattr(spectral, "_gauss_jordan", _drop_last_pivot(when))
@@ -595,6 +607,10 @@ def test_rational_derogatory_matches_determinantal_divisors(case):
     got = invariant_factors(a)
     assert got == [P(*f) for f in chain]
     assert monic(got) == invariant_factors_oracle(a)
+    with pytest.MonkeyPatch.context() as patch:
+        # The generator certificate alone, with the probe off.
+        patch.setattr(spectral, "_probe", lambda rows, q, x: True)
+        assert invariant_factors(a) == got
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -603,12 +619,121 @@ def test_quotient_maps_come_back_in_lowest_terms(case):
     # Each quotient is (denom, rows) with denom the least common
     # denominator, positive, as _scaled_int_rows gives it.
     a, chain = case
-    denom, rows = a._scaled_int_rows()
-    for _ in chain:
-        _, denom, rows = spectral._split_cyclic(denom, rows)
+    quotients = []
+
+    def quotient(*args):
+        units, denom, rows = out = _quotient(*args)
+        quotients.append((denom, rows))
+        return out
+
+    _quotient = spectral._quotient
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_quotient", quotient)
+        assert invariant_factors(a) == [P(*f) for f in chain]
+    assert len(quotients) >= len(chain) - 1
+    for denom, rows in quotients:
         again = RationalMatrix._from_scaled(rows, len(rows), denom)
         assert again._scaled_int_rows() == (denom, rows)
-    assert rows == []
+
+
+def _count_splits(patch):
+    """Patch spectral._split_cyclic to record (n, start) per call."""
+    calls = []
+    split = spectral._split_cyclic
+
+    def counted(denom, rows, start):
+        calls.append((len(rows), start))
+        return split(denom, rows, start)
+
+    patch.setattr(spectral, "_split_cyclic", counted)
+    return calls
+
+
+def test_certificate_alone_keeps_the_derogatory_chains(monkeypatch):
+    # With the probe switched off, every trial vector of too low an order
+    # reaches the generator certificate, which alone must reject it.
+    monkeypatch.setattr(spectral, "_probe", lambda rows, q, x: True)
+    calls = _count_splits(monkeypatch)
+    for a, chain in derogatory_chains():
+        got = invariant_factors(a)
+        assert got == [P(*f) for f in chain]
+        assert monic(got) == invariant_factors_oracle(a)
+    assert any(start > 1 for _, start in calls)
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([[1, 0, 1, -1], [0, 0, 0, -2], [0, 0, 2, -1], [0, 0, 1, 0]],
+     [P(-1, 1), P(0, 1, -2, 1)]),
+    ([[0, 0, 0, -1, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0],
+      [0, 0, 0, 0, 0]], [P(0, 1), P(0, 0, 1), P(0, 0, 1)]),
+], ids=["4x4", "nilpotent_5x5"])
+def test_certificate_reaches_every_lower_level(monkeypatch, rows, expected):
+    # With the probe off, one level's annihilator here kills the lifted
+    # trial vector of the level just below it, and only the lift of a
+    # deeper level's trial vector shows that it is too low.
+    monkeypatch.setattr(spectral, "_probe", lambda rows, q, x: True)
+    calls = _count_splits(monkeypatch)
+    assert invariant_factors(RationalMatrix.from_rows(rows)) == expected
+    assert any(start > 1 for _, start in calls)
+
+
+def test_certificate_rejects_a_trial_whose_probe_it_kills(monkeypatch):
+    # P diag(1, 1, 2) P^-1 with P's first columns (1, 1, 1) and (1, 2, 4),
+    # the first trial vector and its probe: both are eigenvectors for 1,
+    # so the annihilator t - 1 passes the probe, and only the lifted
+    # generator of the quotient, which has the eigenvalue 2, shows that it
+    # is not the minimal polynomial.
+    a = RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0], [2, -3, 2]])
+    calls = _count_splits(monkeypatch)
+    assert invariant_factors(a) == [P(-1, 1), P(2, -3, 1)]
+    assert calls[:3] == [(3, 1), (2, 1), (3, 2)]
+
+
+@st.composite
+def planted_chains(draw):
+    """A unimodular conjugate of block_diag(companion(f) for f in chain),
+    chain an invariant-factor chain of total degree at most 14: beyond the
+    oracle's reach, so the planted chain is the answer."""
+    chain = [draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2))
+             + [1]]
+    for step in draw(st.lists(st.sampled_from(
+            [[1], [1], [0, 1], [-1, 1], [1, 1], [2, 1], [1, 0, 1],
+             [-2, 0, 1]]), min_size=1, max_size=8)):
+        nxt = list(poly_mul(P(*chain[-1]), P(*step)).coeffs)
+        if sum(len(f) - 1 for f in chain) + len(nxt) - 1 > 14:
+            break
+        chain.append(nxt)
+    base = block_diag([companion(f) for f in chain])
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    return conjugate(random_unimodular(rng, base.rows, 30), base), chain
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(planted_chains())
+def test_planted_chains_up_to_fourteen(case):
+    a, chain = case
+    assert invariant_factors(a) == [P(*f) for f in chain]
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_forty_invariant_factors_need_no_deep_stack():
+    # 2 I_40 splits into forty levels; the descent and the certificate are
+    # loops, so the stack stays a few frames deep whatever the level count.
+    a = RationalMatrix.from_rows(
+        [[2 * (i == j) for j in range(40)] for i in range(40)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 30)
+    try:
+        got = invariant_factors(a)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == [P(-2, 1)] * 40
 
 
 def _without_t(factors):
