@@ -4,9 +4,13 @@ them."""
 
 from itertools import count
 from operator import mul
+from threading import Lock
 
-# Primes just below 2^62, largest first, found on first use.
+# Primes just below 2^62, largest first, found on first use.  A thread
+# that finds the next one missing re-checks under _GROWING before it
+# appends, so racing threads append each prime once.
 PRIMES = []
+_GROWING = Lock()
 
 # Miller-Rabin to these bases decides primality for every n < 2^64.
 WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -40,10 +44,12 @@ def primes():
     process and kept in PRIMES."""
     for i in count():
         if i == len(PRIMES):
-            q = PRIMES[-1] - 2 if PRIMES else (1 << 62) - 1
-            while not is_prime(q):
-                q -= 2
-            PRIMES.append(q)
+            with _GROWING:
+                if i == len(PRIMES):
+                    q = PRIMES[-1] - 2 if PRIMES else (1 << 62) - 1
+                    while not is_prime(q):
+                        q -= 2
+                    PRIMES.append(q)
         yield PRIMES[i]
 
 

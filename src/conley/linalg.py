@@ -343,20 +343,22 @@ class Subspace:
             raise ShapeError("basis rows must match the ambient dimension")
         if basis.cols > ambient_dim:
             raise ShapeError("more basis columns than the ambient dimension")
-        if basis.cols and basis.rank() != basis.cols:
+        space = column_space(basis)
+        if space.dim != basis.cols:
             raise InvariantError("subspace basis columns are dependent")
-        self.ambient_dim, self.basis = ambient_dim, basis
+        self.ambient_dim, self.basis = ambient_dim, space.basis
 
     @classmethod
     def _from_echelon(cls, ambient_dim, basis):
-        """Skips the rank check: basis is an elimination's echelon form."""
+        """Skips the elimination: basis is already an echelon form."""
         s = object.__new__(cls)
         s.ambient_dim, s.basis = ambient_dim, basis
         return s
 
     @classmethod
     def spanned_by_columns(cls, m):
-        return cls._from_echelon(m.rows, column_rref(m))
+        """The column space of m; forwards to ``column_space``."""
+        return column_space(m)
 
     @property
     def dim(self):
@@ -384,17 +386,13 @@ class Subspace:
         return len(_gauss_jordan(vectors + [vec])[0]) == self.dim
 
 
-def column_rref(m):
-    """Canonical basis (reduced column echelon form) of the column space."""
-    vectors = _columns(m._scaled_int_rows()[1], m.cols)
+def column_space(a):
+    """Column space of a, with canonical basis (one elimination)."""
+    vectors = _columns(a._scaled_int_rows()[1], a.cols)
     pivots, d = _gauss_jordan(vectors)
     r = len(pivots)
-    return RationalMatrix._from_scaled(_columns(vectors[:r], m.rows), r, d)
-
-
-def column_space(a):
-    """Column space of a, with canonical basis."""
-    return Subspace.spanned_by_columns(a)
+    return Subspace._from_echelon(a.rows, RationalMatrix._from_scaled(
+        _columns(vectors[:r], a.rows), r, d))
 
 
 def kernel_basis(a):

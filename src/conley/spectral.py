@@ -231,7 +231,8 @@ def invariant_factors(a):
                 del levels[j:]
                 start = x + 1
                 break
-            generators = [_trial(len(rows), x), *lifts]
+            if j:   # only the level above reads them
+                generators = [_trial(len(rows), x), *lifts]
         else:
             # B = denom m, so c_k B^k is c_k denom^k m^k.
             return [IntPolynomial([c * denom ** k for k, c in enumerate(q)])

@@ -178,8 +178,9 @@ def column_rref_oracle(m):
 def eventual_image_oracle(a):
     """im a^n for an n x n RationalMatrix: a^n eliminated once by the
     Fraction elimination (the library follows the chain im a^k and forms
-    no power)."""
-    return Subspace(a.rows, column_rref_oracle(a ** a.rows))
+    no power).  It is wrapped with _from_echelon, since the public
+    constructor would re-eliminate the basis with the library."""
+    return Subspace._from_echelon(a.rows, column_rref_oracle(a ** a.rows))
 
 
 def kernel_oracle(m):

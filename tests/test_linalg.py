@@ -1,20 +1,21 @@
 import random
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conley import linalg
+from conley import _modular, linalg
 from conley._modular import is_prime, primes
 from conley.errors import DomainError, InvariantError, ShapeError
 from conley.linalg import (RationalMatrix, Subspace, char_reversed,
-                           char_reversed_rational, column_rref, column_space,
-                           inverse, kernel_basis, mat_mul, rank,
-                           solve_columns)
+                           char_reversed_rational, column_space, inverse,
+                           kernel_basis, mat_mul, rank, solve_columns)
 from conley.poly import IntPolynomial
 
 from oracles import (block_diag, char_reversed_oracle, charpoly_cofactor,
@@ -186,8 +187,8 @@ class TestColumnSpace:
         rng = random.Random(29)
         for _ in range(60):
             a = random_int_matrix(rng, rng.randint(1, 4))
-            basis = column_rref(a)
-            assert column_rref(basis) == basis
+            basis = column_space(a).basis
+            assert column_space(basis).basis == basis
             assert basis.cols == a.rank()
 
 
@@ -320,7 +321,7 @@ class TestGaussJordanAgainstOracle:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(matrices())
     def test_column_rref(self, a):
-        basis = column_rref(a)
+        basis = column_space(a).basis
         assert basis == column_rref_oracle(a)
         space = column_space(a)
         assert space.basis == basis
@@ -359,7 +360,7 @@ class TestGaussJordanAgainstOracle:
     def test_empty_shapes(self, shape):
         a = RationalMatrix.zeros(*shape)
         assert a.rank() == 0
-        assert column_rref(a) == RationalMatrix.zeros(shape[0], 0)
+        assert column_space(a).basis == RationalMatrix.zeros(shape[0], 0)
         assert kernel_basis(a).basis == RationalMatrix.identity(shape[1])
         assert solve_columns(RationalMatrix.zeros(shape[0], 0), a) == \
             RationalMatrix.zeros(0, shape[1])
@@ -375,8 +376,78 @@ class TestGaussJordanAgainstOracle:
         big = 2**200 + 1
         a = RationalMatrix.from_rows([[big, big + 1, 1],
                                       [big - 1, big, Fraction(1, big)]])
-        assert column_rref(a) == column_rref_oracle(a)
+        assert column_space(a).basis == column_rref_oracle(a)
         assert kernel_basis(a).basis == kernel_oracle(a)
+
+
+def _from_columns(n, columns):
+    """The n x len(columns) matrix with these columns."""
+    return RationalMatrix(n, len(columns),
+                          [col[i] for i in range(n) for col in columns])
+
+
+@st.composite
+def full_rank_columns(draw):
+    """(n, columns): k <= n independent columns of length n <= 6, with
+    integer or rational entries."""
+    n = draw(st.integers(0, 6))
+    k = draw(st.integers(0, n))
+    entries = draw(st.sampled_from([st.integers(-4, 4),
+                                    ENTRIES["rational"]]))
+    columns = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                            min_size=k, max_size=k))
+    assume(rref_rank(columns) == k)
+    return n, columns
+
+
+NONZERO = st.one_of(st.integers(-5, -1), st.integers(1, 5),
+                    st.fractions(1, 5, max_denominator=6))
+
+
+class TestSubspaceConstructor:
+    """The public constructor takes column_space's canonical basis, so a
+    subspace is equal to, and hashes like, its column space however its
+    basis is presented."""
+
+    def test_a_scaled_basis_is_reduced(self):
+        space = Subspace(2, RationalMatrix.from_rows([[2], [0]]))
+        assert space == column_space(RationalMatrix.from_rows([[1], [0]]))
+        assert space.basis.column_list(0) == [1, 0]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(full_rank_columns(), st.data())
+    def test_every_presentation_gives_the_column_space(self, drawn, data):
+        n, columns = drawn
+        k = len(columns)
+        space = column_space(_from_columns(n, columns))
+        assert space.basis == column_rref_oracle(_from_columns(n, columns))
+        scales = data.draw(st.lists(NONZERO, min_size=k, max_size=k))
+        order = data.draw(st.permutations(range(k)))
+        copies = [columns,
+                  [[s * x for x in col] for s, col in zip(scales, columns)],
+                  [columns[j] for j in order]]
+        if k >= 2:
+            i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2,
+                                      max_size=2, unique=True))
+            c = data.draw(NONZERO)
+            sheared = list(columns)
+            sheared[i] = [x + c * y for x, y in zip(columns[i], columns[j])]
+            copies.append(sheared)
+        for copy in copies:
+            subspace = Subspace(n, _from_columns(n, copy))
+            assert subspace == space
+            assert hash(subspace) == hash(space)
+        if k < n:
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=k,
+                                        max_size=k))
+            combination = [sum(c * col[i] for c, col in zip(coeffs, columns))
+                           for i in range(n)]
+            with pytest.raises(InvariantError,
+                               match="subspace basis columns are dependent"):
+                Subspace(n, _from_columns(n, columns + [combination]))
+        empty = Subspace(n, RationalMatrix.zeros(n, 0))
+        assert empty == column_space(RationalMatrix.zeros(n, 0))
+        assert empty.dim == 0
 
 
 class TestPowers:
@@ -678,3 +749,38 @@ class TestPrimeSource:
                              capture_output=True, text=True,
                              timeout=30).stdout
         assert out.strip() == "0"
+
+    def test_threads_that_race_for_a_new_prime_append_it_once(
+            self, monkeypatch):
+        # A slow is_prime holds the search open, so four threads that start
+        # together on an empty cache all find the first prime before any
+        # appends it; the cache must still end up holding it once.
+        found = []
+        monkeypatch.setattr(_modular, "PRIMES", found)
+        fast = _modular.is_prime
+
+        def slow(n):
+            time.sleep(0.001)
+            return fast(n)
+
+        monkeypatch.setattr(_modular, "is_prime", slow)
+        start = threading.Barrier(4, timeout=30)
+        taken = []
+
+        def take():
+            start.wait()
+            taken.append(list(islice(primes(), 2)))
+
+        threads = [threading.Thread(target=take) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        expected = primes_below_oracle(2 ** 62, 2)
+        assert taken == [expected] * 4
+        assert found == expected
+        # Its bound needs both primes, so a repeated prime would break it.
+        a = RationalMatrix.from_rows(
+            [[2 ** 25, 1, 3], [5, 2 ** 25, 7], [11, 13, 2 ** 25]])
+        assert a.charpoly() == charpoly_oracle(a)

@@ -1,11 +1,13 @@
 import ast
 import contextlib
+import inspect
 import io
 import json
 import pathlib
 import re
 import signal
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -114,3 +116,87 @@ def test_public_api_is_pinned():
     assert sorted(conley.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         assert hasattr(conley, name), name
+
+
+# str(inspect.signature(...)) of every public name that has one (a class
+# by its constructor), plus the public classmethod that builds a Subspace.
+# Rational is the standard library's Fraction, whose signature varies with
+# the Python version, so it is pinned by identity instead.
+PUBLIC_SIGNATURES = {
+    "BasicSetSpec": "(name: 'str', structure: 'StructureMatrix', "
+                    "index_u: 'int', shift: 'VertexShiftSpec | None' = None)"
+                    " -> None",
+    "ConleyIndex": "(graded)",
+    "EigenClass": "(factor: 'IntPolynomial', kind: 'str', block_sizes: "
+                  "'tuple', algebraic_multiplicity: 'int', "
+                  "geometric_multiplicity: 'int') -> None",
+    "IndexEntry": "(dim: 'int', matrix: 'RationalMatrix', "
+                  "invariant_factors: 'tuple') -> None",
+    "InducedMap": "(matrix: 'RationalMatrix', image_basis: 'Subspace', "
+                  "ambient_dim: 'int', source: 'RationalMatrix') -> None",
+    "IntPolynomial": "(coeffs=())",
+    "JordanProfile": "(ambient_dim: 'int', entries: 'tuple') -> None",
+    "MorseReport": "(q: 'int', lhs_product: 'RationalFunction', "
+                   "rhs_product: 'RationalFunction', p_of_t: "
+                   "'RationalFunction', is_integer_polynomial: 'bool', "
+                   "split_asserted_at: 'int | None' = None) -> None",
+    "RationalFunction": "(num, den=1)",
+    "RationalMatrix": "(rows, cols, entries)",
+    "StructureMatrix": "(matrix: 'RationalMatrix', raw: 'bool' = True)"
+                       " -> None",
+    "Subspace": "(ambient_dim, basis)",
+    "Subspace.spanned_by_columns": "(m)",
+    "SystemSpec": "(basic_sets: 'tuple', ambient_dim: 'int | None' = None, "
+                  "ambient_maps: 'dict' = <factory>, split_at: "
+                  "'int | None' = None) -> None",
+    "ValidationError": "(message, location=None)",
+    "VertexShiftSpec": "(n: 'int', adjacency: 'tuple', orientation: "
+                       "'tuple') -> None",
+    "build_structure_matrix": "(shift)",
+    "char_reversed": "(a)",
+    "char_reversed_rational": "(a)",
+    "column_space": "(a)",
+    "conley_index": "(basic, ambient_dim)",
+    "count_periodic": "(shift, n)",
+    "enumerate_periodic_oracle": "(shift, n, budget=None)",
+    "generalized_image": "(a)",
+    "generalized_kernel": "(a)",
+    "invariant_factors": "(a)",
+    "inverse": "(a)",
+    "is_similar": "(a, b)",
+    "jordan_profile": "(a)",
+    "kernel_basis": "(a)",
+    "lefschetz_series": "(basic, ambient_dim, m)",
+    "mat_mul": "(a, b)",
+    "morse_split_check": "(system, q)",
+    "nonnilpotent_part": "(a)",
+    "parse_system": "(path)",
+    "poly_divmod": "(p, q)",
+    "poly_gcd": "(p, q)",
+    "poly_mul": "(p, q)",
+    "rank": "(a)",
+    "ratfunc_inv": "(f)",
+    "ratfunc_mul": "(f, g)",
+    "solve_columns": "(b, c)",
+    "squarefree_decomposition": "(p)",
+    "system_from_dict": "(doc)",
+    "system_to_dict": "(system)",
+    "zeta_basic_set": "(basic, ambient_dim)",
+    "zeta_via_index": "(basic, ambient_dim)",
+}
+
+
+def test_public_signatures_are_pinned():
+    # A simplification keeps each public signature too: dropping or
+    # reshaping a parameter has to change this table on purpose.
+    assert conley.Rational is Fraction
+    signatures = {}
+    for name in PUBLIC_API:
+        try:
+            signatures[name] = str(inspect.signature(getattr(conley, name)))
+        except (TypeError, ValueError):
+            continue
+    del signatures["Rational"]
+    signatures["Subspace.spanned_by_columns"] = str(
+        inspect.signature(conley.Subspace.spanned_by_columns))
+    assert signatures == PUBLIC_SIGNATURES
