@@ -3,8 +3,8 @@ conjugacy invariants of rational matrices.
 
 The eventual image is the stable member of the chain im A >= im A^2 >=
 ..., built one elimination per step until a step keeps the dimension;
-there A maps the image onto itself, so the induced map A+ is invertible
-without a further rank check.
+there A maps the image onto itself, so the induced map A+, read off the
+basis's pivot rows, is invertible without a further rank check.
 
 Similarity over the rationals is certified by invariant factors (the
 diagonal of the Smith normal form of tI - A over Q[t]), obtained from a
@@ -31,8 +31,8 @@ from operator import mul
 
 from ._modular import is_prime
 from .errors import DomainError, InvariantError
-from .linalg import (RationalMatrix, Subspace, _gauss_jordan, column_space,
-                     kernel_basis, solve_columns)
+from .linalg import (RationalMatrix, Subspace, _columns, _gauss_jordan,
+                     column_space, kernel_basis, solve_columns)
 from .poly import (T, IntPolynomial, exact_div, poly_gcd,
                    squarefree_decomposition)
 
@@ -89,12 +89,14 @@ class InducedMap:
         return self.matrix.rows
 
     def verify(self):
-        """Check the intertwining identity and invertibility exactly.
-
-        nonnilpotent_part proves invertibility by construction and does
-        not rank the matrix, so this is the one explicit check of it."""
+        """Solve B X = source B for the matrix and rank it, exactly;
+        nonnilpotent_part reads the matrix off pivot rows and does neither."""
         b = self.image_basis.basis
-        if self.source * b != b * self.matrix:
+        try:    # b has full column rank: at most one solution
+            solved = solve_columns(b, self.source * b)
+        except DomainError:     # source * b leaves the span of b
+            solved = None
+        if solved != self.matrix:
             raise InvariantError("induced map does not intertwine its basis")
         if self.dim and self.matrix.rank() != self.dim:
             raise InvariantError("induced map is singular")
@@ -107,15 +109,18 @@ def nonnilpotent_part(a):
     The quotient of the ambient space by the eventual kernel is canonically
     isomorphic to the eventual image, and a maps that image bijectively to
     itself, so this is the nonnilpotent part of a.  A nilpotent input gives
-    the empty 0 x 0 map.  The matrix is not ranked: generalized_image
-    stops only where a maps the image onto itself, which is the statement
-    that this matrix is invertible.
+    the empty 0 x 0 map.  Nothing is ranked or solved: generalized_image
+    stops only where a maps the image onto itself, so the matrix is
+    invertible, and the canonical basis B is the identity on its pivot rows
+    P (each column's first nonzero row), so B X = a B gives X = a[P] B.
     """
     a._require_square("nonnilpotent part")
     image = generalized_image(a)
-    basis = image.basis
-    return InducedMap(matrix=solve_columns(basis, a * basis),
-                      image_basis=image, ambient_dim=a.rows, source=a)
+    denom, rows = a._scaled_int_rows()
+    cols = _columns(image.basis._scaled_int_rows()[1], image.dim)
+    pivot_rows = [rows[next(i for i, x in enumerate(c) if x)] for c in cols]
+    return InducedMap(RationalMatrix._from_scaled(pivot_rows, a.cols, denom)
+                      * image.basis, image, a.rows, a)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import pathlib
@@ -11,7 +12,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conley import linalg, spectral
+from conley import dynamics, linalg, spectral
 from conley.cli import main
 
 from oracles import (block_diag, companion, det_oracle,
@@ -242,12 +243,14 @@ class TestVerifyCommand:
                                                 monkeypatch):
         # A+ off by one entry: the checks that read it must fail, so the
         # facts shared between the routes leave none of them vacuous.
-        def off_by_one(b, c):
-            rows = linalg.solve_columns(b, c).tolist()
+        def off_by_one(a):
+            induced = spectral.nonnilpotent_part(a)
+            rows = induced.matrix.tolist()
             rows[0][0] += 1
-            return linalg.RationalMatrix.from_rows(rows)
+            return dataclasses.replace(
+                induced, matrix=linalg.RationalMatrix.from_rows(rows))
 
-        monkeypatch.setattr(spectral, "solve_columns", off_by_one)
+        monkeypatch.setattr(dynamics, "nonnilpotent_part", off_by_one)
         code, out, err = run_cli(capsys, "verify",
                                  fixture_path("fourhandle.json"))
         assert code == 3

@@ -494,12 +494,15 @@ def test_verify_computes_each_fact_once(monkeypatch):
     for module in (spectral, dynamics):
         monkeypatch.setattr(module, "invariant_factors", counting(
             "invariant_factors", spectral.invariant_factors))
+    monkeypatch.setattr(spectral, "solve_columns", counting(
+        "solve", spectral.solve_columns))
     for _ in range(2):
         counts.clear()
         assert build_verify_report(system)["ok"]
         # Only generalized_kernel forms A^n; generalized_image follows
-        # the chain im A^k and forms no power.
-        assert counts == {"charpoly": 2, "image": 1, "power": 1}
+        # the chain im A^k and forms no power.  A+ is read off pivot rows
+        # and solved for once, by InducedMap.verify.
+        assert counts == {"charpoly": 2, "image": 1, "power": 1, "solve": 1}
 
 
 def _rank_callers(monkeypatch):
@@ -527,9 +530,19 @@ def test_a_singular_index_automorphism_is_refused():
     SystemSpec(basic_sets=(FOURHANDLE,), ambient_dim=2),
     _fractional_plus_system()], ids=["four-handle", "derogatory"])
 def test_index_does_not_rank_the_index_automorphism(monkeypatch, system):
+    # Nor does it solve for it: A+ is read off the image's pivot rows.
     callers = _rank_callers(monkeypatch)
+    solves = []
+    solve_columns = spectral.solve_columns
+
+    def recording(b, c):
+        solves.append((b, c))
+        return solve_columns(b, c)
+
+    monkeypatch.setattr(spectral, "solve_columns", recording)
     build_index_report(system)
     assert callers == []
+    assert solves == []
 
 
 def test_verify_ranks_each_nonzero_index_once(monkeypatch):

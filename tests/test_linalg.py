@@ -421,6 +421,12 @@ class TestSubspaceConstructor:
         k = len(columns)
         space = column_space(_from_columns(n, columns))
         assert space.basis == column_rref_oracle(_from_columns(n, columns))
+        # The first nonzero row of each column is a pivot row, and the
+        # pivot rows form the identity: nonnilpotent_part relies on it.
+        pivots = [next(i for i, x in enumerate(space.basis.column_list(j))
+                       if x) for j in range(k)]
+        assert [space.basis.row_list(p) for p in pivots] == \
+            RationalMatrix.identity(k).tolist()
         scales = data.draw(st.lists(NONZERO, min_size=k, max_size=k))
         order = data.draw(st.permutations(range(k)))
         copies = [columns,

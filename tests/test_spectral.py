@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,19 +9,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from conley import linalg, spectral
 from conley.errors import DomainError, InvariantError, ShapeError
-from conley.linalg import (RationalMatrix, char_reversed,
+from conley.linalg import (RationalMatrix, Subspace, char_reversed,
                            char_reversed_rational, kernel_basis)
 from conley.poly import T, IntPolynomial, exact_div, poly_mul
 from conley.spectral import (KIND_COMPLEX, KIND_RATIONAL, KIND_UNRESOLVED,
-                             generalized_image, generalized_kernel,
+                             InducedMap, generalized_image, generalized_kernel,
                              invariant_factors, is_similar, jordan_profile,
                              nonnilpotent_part)
 
 from oracles import (block_diag, companion, conjugate,
                      eventual_image_oracle, integer_roots_oracle,
-                     invariant_factors_oracle, jordan_block,
+                     invariant_factors_oracle, jordan_block, mat_mul_oracle,
                      quadratic_companion_block, random_int_matrix,
-                     random_rational_matrix, random_unimodular, zero_column)
+                     random_rational_matrix, random_unimodular, solve_oracle,
+                     zero_column)
 
 HORSESHOE = RationalMatrix.from_rows([[1, -1], [1, -1]])
 TORUS = RationalMatrix.from_rows([[0, 1], [-1, 1]])
@@ -169,6 +171,36 @@ class TestNonnilpotentPart:
             done += 1
 
 
+class TestInducedMapVerify:
+    """InducedMap.verify solves B X = A B for the map and ranks it; each
+    failure is an InvariantError."""
+
+    def test_a_map_off_by_one_entry_does_not_intertwine(self):
+        induced = nonnilpotent_part(FOURHANDLE)
+        rows = induced.matrix.tolist()
+        rows[0][0] += 1
+        wrong = replace(induced, matrix=RationalMatrix.from_rows(rows))
+        with pytest.raises(InvariantError, match="does not intertwine"):
+            wrong.verify()
+
+    def test_a_basis_not_mapped_into_itself_does_not_intertwine(self):
+        # A e1 = e2 leaves span e1, so B X = A B has no solution at all.
+        swap = RationalMatrix.from_rows([[0, 1], [1, 0]])
+        e1 = Subspace(2, RationalMatrix.column([1, 0]))
+        induced = InducedMap(matrix=RationalMatrix.from_rows([[1]]),
+                             image_basis=e1, ambient_dim=2, source=swap)
+        with pytest.raises(InvariantError, match="does not intertwine"):
+            induced.verify()
+
+    def test_an_intertwining_singular_map_is_singular(self):
+        zero = RationalMatrix.from_rows([[0]])
+        induced = InducedMap(
+            matrix=zero, image_basis=Subspace(1, RationalMatrix.identity(1)),
+            ambient_dim=1, source=zero)
+        with pytest.raises(InvariantError, match="is singular"):
+            induced.verify()
+
+
 @st.composite
 def eventual_image_cases(draw):
     """An integer matrix (n <= 10), the same with a column zeroed, a
@@ -198,10 +230,14 @@ def eventual_image_cases(draw):
 @example(RationalMatrix.from_rows([[Fraction(1, 2)]]))
 def test_image_chain_matches_the_power_route(a):
     # The chain stops at the first step that keeps the dimension; the
-    # oracle eliminates a^n.  The same stop makes A+ invertible.
+    # oracle eliminates a^n.  The same stop makes A+ invertible.  A+ is
+    # read off the pivot rows; the oracle solves B X = a B by Fractions.
     image = generalized_image(a)
-    assert image == eventual_image_oracle(a)
-    assert nonnilpotent_part(a).matrix.rank() == image.dim
+    oracle = eventual_image_oracle(a)
+    assert image == oracle
+    plus = nonnilpotent_part(a).matrix
+    assert plus.rank() == image.dim
+    assert plus == solve_oracle(oracle.basis, mat_mul_oracle(a, oracle.basis))
 
 
 def _chain_counts(monkeypatch, a):

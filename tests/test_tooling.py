@@ -33,7 +33,8 @@ def test_hang_guard_interrupts_a_looping_test():
 LAYERS_UNDER = {
     "verify": ("spectral.nonnilpotent_part", "spectral.generalized_image",
                "spectral.generalized_kernel", "linalg.charpoly",
-               "linalg.column_space", "linalg.kernel_basis"),
+               "linalg.column_space", "linalg.kernel_basis",
+               "linalg.solve_columns"),
     "index": ("spectral.nonnilpotent_part", "spectral.generalized_image",
               "spectral.invariant_factors", "linalg.column_space"),
 }
