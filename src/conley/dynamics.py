@@ -46,7 +46,7 @@ class VertexShiftSpec:
                                 f"expected {self.n}")
                 continue
             for j, v in enumerate(row):
-                if v not in (0, 1):
+                if type(v) is not int or v not in (0, 1):
                     problems.append(f"adjacency[{i}][{j}] = {v!r} "
                                     "is not 0 or 1")
         if len(self.orientation) != self.n:
@@ -54,7 +54,7 @@ class VertexShiftSpec:
                             f"entries, expected {self.n}")
         else:
             for k, s in enumerate(self.orientation):
-                if s not in (1, -1):
+                if type(s) is not int or s not in (1, -1):
                     problems.append(f"orientation[{k}] = {s!r} "
                                     "is not +1 or -1")
         if problems:

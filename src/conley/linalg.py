@@ -439,17 +439,6 @@ def inverse(a):
     return solve_columns(a, RationalMatrix.identity(a.rows))
 
 
-def _reversed_from_charpoly(coeffs):
-    """det(I - a t) from the monic charpoly coefficients of a: the
-    coefficient of t^k is the charpoly coefficient of t^(n-k)."""
-    rev = list(reversed(coeffs))
-    for c in rev:
-        if c.denominator != 1:
-            raise DomainError(
-                "characteristic polynomial is not integral")
-    return IntPolynomial([int(c) for c in rev])
-
-
 def char_reversed(a):
     """det(I - a t) in Z[t] for a square integer matrix.
 
@@ -459,12 +448,18 @@ def char_reversed(a):
     a._require_square("char_reversed")
     if not a.is_integer:
         raise DomainError("char_reversed needs integer entries")
-    return _reversed_from_charpoly(a.charpoly())
+    return char_reversed_rational(a)
 
 
 def char_reversed_rational(a):
     """det(I - a t) for a rational square matrix whose characteristic
     polynomial happens to be integral (e.g. any matrix similar to an
-    integer one).  DomainError when the coefficients are not integers."""
+    integer one), read off its charpoly coefficients in reverse.
+    DomainError when the coefficients are not integers."""
     a._require_square("char_reversed_rational")
-    return _reversed_from_charpoly(a.charpoly())
+    rev = list(reversed(a.charpoly()))
+    for c in rev:
+        if c.denominator != 1:
+            raise DomainError(
+                "characteristic polynomial is not integral")
+    return IntPolynomial([int(c) for c in rev])

@@ -94,8 +94,6 @@ class IntPolynomial:
         return as_poly(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial([c * other for c in self.coeffs])
         other = as_poly(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -128,10 +126,7 @@ class IntPolynomial:
 
     def content(self):
         """gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g
+        return gcd(*self.coeffs)
 
     def normalized(self):
         """Primitive part with positive leading coefficient."""

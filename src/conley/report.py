@@ -313,21 +313,13 @@ def _text_verify(report, lines):
                  else "CHECK FAILURES DETECTED")
 
 
+_TEXT = {"index": _text_index, "jordan": _text_jordan, "zeta": _text_zeta,
+         "morse": _text_morse, "verify": _text_verify}
+
+
 def render_text(report):
     lines = []
-    command = report["command"]
-    if command == "index":
-        _text_index(report, lines)
-    elif command == "jordan":
-        _text_jordan(report, lines)
-    elif command == "zeta":
-        _text_zeta(report, lines)
-    elif command == "morse":
-        _text_morse(report, lines)
-    elif command == "verify":
-        _text_verify(report, lines)
-    else:
-        raise ValueError(f"unknown report command {command!r}")
+    _TEXT[report["command"]](report, lines)
     while lines and lines[-1] == "":
         lines.pop()
     return "\n".join(lines) + "\n"

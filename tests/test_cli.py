@@ -7,13 +7,15 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conley import dynamics, linalg, spectral
+from conley import cli, dynamics, linalg, spectral
 from conley.cli import main
+from conley.errors import InvariantError
 
 from oracles import (block_diag, companion, det_oracle,
                      quadratic_companion_block)
@@ -158,7 +160,8 @@ class TestZetaCommand:
         assert report["product"]["denominator"] == [1, -2, 1]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_coefficients_of_any_length_print(self, capsys, tmp_path, fmt):
+    def test_coefficients_of_any_length_print(self, capsys, tmp_path,
+                                              monkeypatch, fmt):
         # Entries of 3001 digits parse under the interpreter's default
         # limit of 4300 digits; det(I - A t) has a 6001-digit coefficient.
         a, b = 10 ** 3000 + 7, 10 ** 3000 + 9
@@ -181,6 +184,51 @@ class TestZetaCommand:
             assert [_from_digits(c) for c in zeta["numerator"]] == \
                 [1, -(a + b), a * b]
             assert zeta["numerator"][2] == ab_digits
+        # the limit comes back on the error exits too
+        code, _, _ = run_cli(capsys, "zeta", str(tmp_path / "missing.json"))
+        assert (code, _digit_limit()) == (2, limit)
+
+        def broken(system):
+            raise InvariantError("patched builder")
+        monkeypatch.setattr(cli, "build_zeta_report", broken)
+        code, _, _ = run_cli(capsys, "zeta", str(path), "--format", fmt)
+        assert (code, _digit_limit()) == (3, limit)
+
+    def test_concurrent_calls_keep_the_digit_limit(self, capsys, tmp_path):
+        # One thread prints coefficients past the default digit limit while
+        # another keeps parsing; each call lifts and restores the
+        # process-wide limit, so the calls must not interleave.
+        rng = random.Random(1)
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"basic_sets": [{
+            "name": "d", "index": 1,
+            "matrix": [[rng.randrange(10 ** 400, 10 ** 401)
+                        for _ in range(12)] for _ in range(12)]}]}),
+            encoding="utf-8")
+        one = tmp_path / "one.json"
+        one.write_text('{"basic_sets": [{"name": "p", "index": 0, '
+                       '"matrix": [[1]]}]}', encoding="utf-8")
+        limit = _digit_limit()
+        outcomes = []
+
+        def call(*argv):
+            try:
+                outcomes.append(main(list(argv)))
+            except Exception as exc:
+                outcomes.append(exc)
+
+        def printer():
+            for _ in range(3):
+                call("zeta", str(big))
+
+        thread = threading.Thread(target=printer)
+        thread.start()
+        while thread.is_alive():
+            call("index", str(one))
+        thread.join()
+        capsys.readouterr()
+        assert outcomes and [o for o in outcomes if o != 0] == []
+        assert _digit_limit() == limit
 
 
 def _digit_limit():

@@ -1,6 +1,8 @@
 import random
+import re
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -80,9 +82,17 @@ class TestStructureMatrix:
         message = str(err.value)
         assert "adjacency[0][1]" in message
         assert "orientation[1]" in message
+        # entries equal to 0, 1 or -1 that are not ints are refused too
+        for adjacency, orientation, where in (
+                (((1.0,),), (1,), "adjacency[0][0] = 1.0"),
+                (((True,),), (1,), "adjacency[0][0] = True"),
+                (((Fraction(1),),), (1,),
+                 "adjacency[0][0] = Fraction(1, 1)"),
+                (((1,),), (True,), "orientation[0] = True")):
+            with pytest.raises(ValidationError, match=re.escape(where)):
+                VertexShiftSpec(1, adjacency, orientation)
 
     def test_non_integer_matrix_rejected(self):
-        from fractions import Fraction
         with pytest.raises(ValidationError):
             StructureMatrix(RationalMatrix.from_rows([[Fraction(1, 2)]]))
 

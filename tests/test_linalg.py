@@ -209,12 +209,14 @@ class TestCharReversed:
         assert char_reversed(FOURHANDLE) == IntPolynomial([1, -2, 1])
 
     def test_non_square(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError,
+                           match="^char_reversed needs a square matrix"):
             char_reversed(RationalMatrix.zeros(2, 3))
 
     def test_rational_entries_rejected(self):
         half = RationalMatrix.from_rows([[Fraction(1, 2)]])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match="char_reversed needs integer entries"):
             char_reversed(half)
         # the rational-aware variant refuses a non-integral charpoly too
         with pytest.raises(DomainError):

@@ -23,6 +23,13 @@ class TestArithmetic:
 
     def test_mul_by_zero(self):
         assert poly_mul(P(1, 2, 3), ZERO) == ZERO
+        assert P(1, 2, 3) * 0 == 0 * P(1, 2, 3) == ZERO
+
+    def test_mul_by_int(self):
+        p = P(1, -2, 3)
+        assert p * 3 == 3 * p == p * P(3) == P(3, -6, 9)
+        with pytest.raises(DomainError):
+            p * True
 
     def test_trailing_zeros_trimmed(self):
         assert P(1, 2, 0, 0) == P(1, 2)
@@ -53,6 +60,8 @@ class TestArithmetic:
 
     def test_content_and_normalized(self):
         assert P(2, 4, -6).content() == 2
+        assert P(-4, -6).content() == 2
+        assert ZERO.content() == 0
         assert P(-2, -4).normalized() == P(1, 2)
         assert P(2, 4).normalized() == P(1, 2)
 
