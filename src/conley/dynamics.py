@@ -21,7 +21,7 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from .errors import DomainError, InvariantError, ResourceError, \
-    ValidationError
+    ValidationError, _shown
 from .linalg import RationalMatrix, char_reversed, char_reversed_rational
 from .poly import RationalFunction
 from .spectral import invariant_factors, nonnilpotent_part
@@ -39,23 +39,23 @@ class VertexShiftSpec:
         problems = []
         if len(self.adjacency) != self.n:
             problems.append(f"adjacency has {len(self.adjacency)} rows, "
-                            f"expected {self.n}")
+                            f"expected {_shown(self.n)}")
         for i, row in enumerate(self.adjacency):
             if len(row) != self.n:
                 problems.append(f"adjacency[{i}] has {len(row)} entries, "
-                                f"expected {self.n}")
+                                f"expected {_shown(self.n)}")
                 continue
             for j, v in enumerate(row):
                 if type(v) is not int or v not in (0, 1):
-                    problems.append(f"adjacency[{i}][{j}] = {v!r} "
+                    problems.append(f"adjacency[{i}][{j}] = {_shown(v)} "
                                     "is not 0 or 1")
         if len(self.orientation) != self.n:
             problems.append(f"orientation has {len(self.orientation)} "
-                            f"entries, expected {self.n}")
+                            f"entries, expected {_shown(self.n)}")
         else:
             for k, s in enumerate(self.orientation):
                 if type(s) is not int or s not in (1, -1):
-                    problems.append(f"orientation[{k}] = {s!r} "
+                    problems.append(f"orientation[{k}] = {_shown(s)} "
                                     "is not +1 or -1")
         if problems:
             raise ValidationError("; ".join(problems))
@@ -87,8 +87,9 @@ class StructureMatrix:
             bad = [x for row in self.matrix.to_int_rows() for x in row
                    if abs(x) > 1]
             if bad:
-                raise InvariantError("shift-derived structure matrix has "
-                                     f"entries outside -1..1: {bad}")
+                raise InvariantError(
+                    "shift-derived structure matrix has entries outside "
+                    f"-1..1: [{', '.join(map(_shown, bad))}]")
 
     @classmethod
     def from_rows(cls, rows):
@@ -143,8 +144,8 @@ def enumerate_periodic_oracle(shift, n, budget=None):
         raise DomainError("period must be at least 1")
     if budget is None:
         budget = StepBudget()
-    message = (f"enumerating periods up to {n} takes more than "
-               f"{budget.steps} steps")
+    message = (f"enumerating periods up to {_shown(n)} takes more than "
+               f"{_shown(budget.steps)} steps")
     if n > budget.left:
         raise ResourceError(message)
     adj = shift.adjacency
@@ -185,7 +186,7 @@ class BasicSetSpec:
     def __post_init__(self):
         if self.index_u < 0:
             raise ValidationError(f"basic set {self.name!r}: index "
-                                  f"{self.index_u} is negative")
+                                  f"{_shown(self.index_u)} is negative")
 
 
 @dataclass(frozen=True)
@@ -207,8 +208,8 @@ class ConleyIndex:
             if entry.dim != entry.matrix.rows:
                 raise InvariantError("index entry dimension mismatch")
             if entry.dim and entry.matrix.rank() != entry.dim:
-                raise InvariantError(f"index automorphism in degree {k} "
-                                     "is singular")
+                raise InvariantError("index automorphism in degree "
+                                     f"{_shown(k)} is singular")
         if len(graded) > 1:
             raise InvariantError("a zero-dimensional basic set has at most "
                                  "one nontrivial degree")
@@ -248,8 +249,8 @@ class ConleyIndex:
 def _check_index_bound(basic, ambient_dim):
     if basic.index_u > ambient_dim:
         raise ValidationError(
-            f"basic set {basic.name!r}: index {basic.index_u} exceeds the "
-            f"ambient dimension {ambient_dim}")
+            f"basic set {basic.name!r}: index {_shown(basic.index_u)} "
+            f"exceeds the ambient dimension {_shown(ambient_dim)}")
 
 
 class BasicSetAnalysis:
@@ -366,13 +367,13 @@ class SystemSpec:
             for k in self.ambient_maps:
                 if not 0 <= k <= self.ambient_dim:
                     raise ValidationError(
-                        f"homology map degree {k} outside 0.."
-                        f"{self.ambient_dim}")
+                        f"homology map degree {_shown(k)} outside 0.."
+                        f"{_shown(self.ambient_dim)}")
             if self.split_at is not None and not \
                     0 <= self.split_at <= self.ambient_dim:
                 raise ValidationError(
-                    f"split_at {self.split_at} outside 0.."
-                    f"{self.ambient_dim}")
+                    f"split_at {_shown(self.split_at)} outside 0.."
+                    f"{_shown(self.ambient_dim)}")
         elif self.ambient_maps:
             raise ValidationError("homology maps given without an ambient "
                                   "dimension")
@@ -417,8 +418,8 @@ def morse_split_check(system, q):
     if system.ambient_dim is None:
         raise ValidationError("morse check needs ambient data")
     if q > system.ambient_dim:
-        raise ValidationError(f"q = {q} exceeds the ambient dimension "
-                              f"{system.ambient_dim}")
+        raise ValidationError(f"q = {_shown(q)} exceeds the ambient "
+                              f"dimension {_shown(system.ambient_dim)}")
     missing = [k for k in range(q + 1) if k not in system.ambient_maps]
     if missing:
         raise ValidationError(f"missing ambient homology maps for degrees "

@@ -5,6 +5,14 @@ The CLI maps these onto exit codes: user-facing input problems
 """
 
 
+def _shown(x):
+    """An error message's view of a value: an int past 64 bits by its bit
+    length (str() refuses huge ints), anything else by its repr."""
+    if isinstance(x, int) and x.bit_length() > 64:
+        return f"<integer of {x.bit_length()} bits>"
+    return repr(x)
+
+
 class ConleyError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -27,7 +27,7 @@ from operator import mul
 
 from ._modular import charpoly_mod, primes
 from .errors import DomainError, InvariantError, ShapeError
-from .poly import IntPolynomial
+from .poly import IntPolynomial, _power
 
 # The scalar field: arbitrary-precision rationals from the standard
 # library, already kept in lowest terms with a positive denominator.
@@ -168,11 +168,7 @@ class RationalMatrix:
         self._require_square("matrix power")
         if n < 0:
             raise DomainError("negative matrix power")
-        if n <= 1:
-            return self if n else RationalMatrix.identity(self.rows)
-        # Square and multiply, starting from self rather than from I.
-        half = self ** (n // 2)
-        return half * half * self if n % 2 else half * half
+        return _power(self, n, lambda: RationalMatrix.identity(self.rows))
 
     def transpose(self):
         denom, rows = self._scaled_int_rows()

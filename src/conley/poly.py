@@ -24,6 +24,17 @@ def _trim(coeffs):
     return coeffs[:n]
 
 
+def _power(x, n, one):
+    """x ** n for an int n >= 0 by left-to-right square and multiply from x
+    itself; ``one()`` gives x ** 0 and is called only for n = 0."""
+    if n == 0:
+        return one()
+    out = x
+    for bit in bin(n)[3:]:
+        out = out * out * x if bit == "1" else out * out
+    return out
+
+
 def _coerce_int(c):
     if isinstance(c, bool):
         raise DomainError(f"coefficient {c!r} is not an integer")
@@ -42,8 +53,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs",
-                           tuple(_trim([_coerce_int(c) for c in coeffs])))
+        self.coeffs = tuple(_trim([_coerce_int(c) for c in coeffs]))
 
     @property
     def degree(self):
@@ -76,6 +86,8 @@ class IntPolynomial:
         return IntPolynomial([-c for c in self.coeffs])
 
     def __add__(self, other):
+        if isinstance(other, RationalFunction):
+            return NotImplemented
         other = as_poly(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -88,12 +100,18 @@ class IntPolynomial:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, RationalFunction):
+            return NotImplemented
         return self + (-as_poly(other))
 
     def __rsub__(self, other):
+        if isinstance(other, RationalFunction):
+            return NotImplemented
         return as_poly(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, RationalFunction):
+            return NotImplemented
         other = as_poly(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -110,10 +128,7 @@ class IntPolynomial:
     def __pow__(self, n):
         if n < 0:
             raise DomainError("negative power of a polynomial")
-        out = ONE
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self, n, lambda: ONE)
 
     def __call__(self, x):
         acc = 0
@@ -316,8 +331,7 @@ class RationalFunction:
             if g.degree > 0:
                 num, den = exact_div(num, g), exact_div(den, g)
         settled = self._settled(num, den)
-        object.__setattr__(self, "num", settled.num)
-        object.__setattr__(self, "den", settled.den)
+        self.num, self.den = settled.num, settled.den
 
     @classmethod
     def _settled(cls, num, den):
@@ -333,8 +347,7 @@ class RationalFunction:
                 num = IntPolynomial([c // k for c in num.coeffs])
                 den = IntPolynomial([c // k for c in den.coeffs])
         out = cls.__new__(cls)
-        object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", den)
+        out.num, out.den = num, den
         return out
 
     @property
@@ -358,6 +371,8 @@ class RationalFunction:
     def __mul__(self, other):
         if isinstance(other, (IntPolynomial, int)):
             other = RationalFunction(other)
+        elif not isinstance(other, RationalFunction):
+            return NotImplemented
         # Cross-cancellation (Henrici): with both factors canonical, the
         # product's only common factors are these two gcds, so after
         # removing them the new numerator and denominator are coprime.
@@ -375,13 +390,8 @@ class RationalFunction:
         return RationalFunction._settled(self.den, self.num)
 
     def __pow__(self, n):
-        base = self
-        if n < 0:
-            base, n = self.inverse(), -n
-        out = RationalFunction(1)
-        for _ in range(n):
-            out = out * base
-        return out
+        base, n = (self.inverse(), -n) if n < 0 else (self, n)
+        return _power(base, n, lambda: RationalFunction(1))
 
     def __str__(self):
         if self.den == ONE:

@@ -15,7 +15,7 @@ from .dynamics import (BasicSetAnalysis, StepBudget, _power_traces,
                        conley_index, count_periodic,
                        enumerate_periodic_oracle, lefschetz_series,
                        morse_split_check, zeta_basic_set, zeta_via_index)
-from .errors import ResourceError, ValidationError
+from .errors import ResourceError, ValidationError, _shown
 from .poly import IntPolynomial
 from .spectral import generalized_kernel, jordan_profile
 
@@ -126,6 +126,22 @@ def _check(name, check, status, detail):
             "detail": detail}
 
 
+def _periodic_check(shift, max_enum):
+    """Status and detail of ``periodic_counts``: the trace formula against
+    brute-force words for periods 1..max_enum, on one StepBudget."""
+    budget = StepBudget()
+    try:
+        for period in range(1, max_enum + 1):
+            counted = count_periodic(shift, period)
+            enumerated = enumerate_periodic_oracle(shift, period, budget)
+            if counted != enumerated:
+                return "fail", (f"n = {period}: trace gives {counted}, "
+                                f"enumeration gives {enumerated}")
+    except ResourceError as exc:
+        return "skipped", str(exc)
+    return "pass", f"trace formula matches enumeration for n = 1..{max_enum}"
+
+
 def build_verify_report(system, max_enum=6):
     """Run the cross-check oracles on every basic set.
 
@@ -141,7 +157,8 @@ def build_verify_report(system, max_enum=6):
     set, so it is computed once and read by every check that needs it.
     """
     if max_enum < 1:
-        raise ValidationError(f"max_enum must be at least 1, got {max_enum}")
+        raise ValidationError(
+            f"max_enum must be at least 1, got {_shown(max_enum)}")
     dim = system.effective_dim()
     checks = []
     for basic in system.sorted_sets():
@@ -151,59 +168,35 @@ def build_verify_report(system, max_enum=6):
         facts = BasicSetAnalysis(basic)
 
         if basic.shift is not None:
-            budget = StepBudget()
-            try:
-                bad = None
-                for period in range(1, max_enum + 1):
-                    counted = count_periodic(basic.shift, period)
-                    enumerated = enumerate_periodic_oracle(
-                        basic.shift, period, budget)
-                    if counted != enumerated:
-                        bad = (period, counted, enumerated)
-                        break
-                if bad is None:
-                    checks.append(_check(
-                        name, "periodic_counts", "pass",
-                        f"trace formula matches enumeration for n = "
-                        f"1..{max_enum}"))
-                else:
-                    checks.append(_check(
-                        name, "periodic_counts", "fail",
-                        f"n = {bad[0]}: trace gives {bad[1]}, enumeration "
-                        f"gives {bad[2]}"))
-            except ResourceError as exc:
-                checks.append(_check(name, "periodic_counts", "skipped",
-                                     str(exc)))
+            checks.append(_check(name, "periodic_counts",
+                                 *_periodic_check(basic.shift, max_enum)))
 
         direct = zeta_basic_set(facts, dim)
         via_index = zeta_via_index(facts, dim)
-        checks.append(_check(
-            name, "zeta_routes",
-            "pass" if direct == via_index else "fail",
-            f"direct {direct} vs index route {via_index}"))
+        checks.append(_check(name, "zeta_routes",
+                             "pass" if direct == via_index else "fail",
+                             f"direct {direct} vs index route {via_index}"))
 
         induced = facts.induced
         split_ok = generalized_kernel(a).dim + induced.image_basis.dim == n
-        checks.append(_check(
-            name, "kernel_image_split",
-            "pass" if split_ok else "fail",
-            f"dim gKer + dim gIm = {n}" if split_ok else
-            "dimension count failed"))
+        checks.append(_check(name, "kernel_image_split",
+                             "pass" if split_ok else "fail",
+                             f"dim gKer + dim gIm = {n}" if split_ok
+                             else "dimension count failed"))
 
         try:
             induced.verify()
-            checks.append(_check(name, "induced_map", "pass",
-                                 "intertwines its basis and is invertible"))
+            status, detail = "pass", "intertwines its basis and is invertible"
         except Exception as exc:    # noqa: BLE001 - reported, not raised
-            checks.append(_check(name, "induced_map", "fail", str(exc)))
+            status, detail = "fail", str(exc)
+        checks.append(_check(name, "induced_map", status, detail))
 
         tail_ok = lefschetz_series(basic, dim, 4) == \
             _power_traces(induced.matrix, 4)
-        checks.append(_check(
-            name, "trace_tail",
-            "pass" if tail_ok else "fail",
-            "trace(A^k) = trace(A+^k) for k = 1..4" if tail_ok
-            else "trace tails differ"))
+        checks.append(_check(name, "trace_tail",
+                             "pass" if tail_ok else "fail",
+                             "trace(A^k) = trace(A+^k) for k = 1..4"
+                             if tail_ok else "trace tails differ"))
 
     ok = all(c["status"] != "fail" for c in checks)
     return {"command": "verify", "ambient_dim": system.ambient_dim,

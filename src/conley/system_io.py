@@ -15,17 +15,8 @@ import json
 
 from .dynamics import (BasicSetSpec, StructureMatrix, SystemSpec,
                        VertexShiftSpec, build_structure_matrix)
-from .errors import ValidationError
+from .errors import ValidationError, _shown
 from .linalg import RationalMatrix
-
-
-def _shown(x):
-    """An input integer for an error message: in full up to 64 bits, else
-    by its bit length, since str() refuses ints past the interpreter's
-    digit limit."""
-    if x.bit_length() <= 64:
-        return str(x)
-    return f"<integer of {x.bit_length()} bits>"
 
 
 def _require_object(value, path, required, optional=()):

@@ -454,6 +454,14 @@ class TestErrorHandling:
         assert err.startswith("error: ")
         assert (pointer or str(path)) in err
 
+    def test_long_integer_argument_is_abbreviated(self, capsys,
+                                                  fixture_path):
+        code, out, err = run_cli(capsys, "morse", fixture_path("torus.json"),
+                                 "--q", str(2 ** 70))
+        assert (code, out) == (2, "")
+        assert err == ("error: q = <integer of 71 bits> exceeds the ambient "
+                       "dimension 2\n")
+
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["morse"])          # missing file and --q

@@ -96,6 +96,11 @@ class TestStructureMatrix:
         with pytest.raises(ValidationError):
             StructureMatrix(RationalMatrix.from_rows([[Fraction(1, 2)]]))
 
+    def test_shift_derived_entries_outside_signs_are_listed(self):
+        with pytest.raises(InvariantError, match=re.escape(": [5, -7]")):
+            StructureMatrix(RationalMatrix.from_rows([[5, 0], [0, -7]]),
+                            raw=False)
+
 
 class TestPeriodicCounts:
     def test_full_shift_period_three(self):
@@ -322,7 +327,8 @@ class TestMorse:
             morse_split_check(system, 0)
 
     def test_q_beyond_dimension(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=re.escape(
+                "q = 3 exceeds the ambient dimension 2")):
             morse_split_check(torus_system(), 3)
 
     def test_detects_non_polynomial(self):
@@ -379,6 +385,65 @@ class TestSystemSpec:
         assert torus_system().effective_dim() == 2
         assert SystemSpec(basic_sets=(TORUS_INF,)).effective_dim() == 2
         assert SystemSpec(basic_sets=()).effective_dim() == 0
+
+
+# 10**5000 has 16610 bits, past the 4300 digits str() writes by default.
+HUGE = 10 ** 5000
+
+
+def _two_cycle():
+    return VertexShiftSpec.from_lists([[0, 1], [1, 0]], [1, 1])
+
+
+# Every integer a caller hands in that can reach an exception message, and
+# the ConleyError subclass raised when it is too long for str().
+HUGE_MESSAGE_SITES = {
+    "shift-size": (ValidationError, lambda: VertexShiftSpec(HUGE, (), ())),
+    "adjacency-entry": (ValidationError,
+                        lambda: VertexShiftSpec.from_lists([[HUGE]], [1])),
+    "orientation-sign": (ValidationError,
+                         lambda: VertexShiftSpec.from_lists([[1]], [HUGE])),
+    "shift-derived-entry": (InvariantError, lambda: StructureMatrix(
+        RationalMatrix.from_rows([[HUGE]]), raw=False)),
+    "period": (ResourceError,
+               lambda: enumerate_periodic_oracle(_two_cycle(), HUGE)),
+    "negative-index": (ValidationError, lambda: basic("p", [[1]], -HUGE)),
+    "singular-degree": (InvariantError, lambda: ConleyIndex(
+        {HUGE: IndexEntry(1, RationalMatrix.from_rows([[0]]), ())})),
+    "index-bound": (ValidationError,
+                    lambda: conley_index(basic("p", [[1]], HUGE), 1)),
+    "ambient-dim": (ValidationError,
+                    lambda: conley_index(basic("p", [[1]], HUGE + 1), HUGE)),
+    "map-degree": (ValidationError, lambda: SystemSpec(
+        (), ambient_dim=1,
+        ambient_maps={HUGE: RationalMatrix.from_rows([[1]])})),
+    "split-at": (ValidationError,
+                 lambda: SystemSpec((), ambient_dim=1, split_at=HUGE)),
+    "morse-q": (ValidationError, lambda: morse_split_check(
+        SystemSpec((), ambient_dim=1), HUGE)),
+    "max-enum": (ValidationError,
+                 lambda: build_verify_report(SystemSpec(()), -HUGE)),
+}
+
+
+class TestHugeIntegers:
+    @pytest.mark.parametrize("site", sorted(HUGE_MESSAGE_SITES))
+    def test_messages_abbreviate_huge_integers(self, site):
+        error, call = HUGE_MESSAGE_SITES[site]
+        with pytest.raises(error, match="<integer of 16610 bits>"):
+            call()
+
+    def test_a_huge_budget_is_not_formatted_in_full(self):
+        # The overrun message is built before the walk, so a budget past
+        # str()'s limit must not stop a count that stays within it.
+        assert enumerate_periodic_oracle(_two_cycle(), 2,
+                                         StepBudget(HUGE)) == 2
+
+    def test_powers_with_huge_exponents(self):
+        # One squaring per bit of the exponent, with no recursion.
+        assert (RationalMatrix.identity(2) ** 2 ** 1200).trace() == 2
+        assert count_periodic(_two_cycle(), 2 ** 1100) == 2
+        assert count_periodic(_two_cycle(), 2 ** 1100 + 1) == 0
 
 
 class TestCompanionRemark:

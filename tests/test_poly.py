@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import lcm
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conley.errors import DomainError
+from conley.linalg import RationalMatrix
 from conley.poly import (ONE, T, ZERO, IntPolynomial, RationalFunction,
                          poly_divmod, poly_gcd, poly_mul, ratfunc_inv,
                          ratfunc_mul, squarefree_decomposition)
@@ -219,6 +221,57 @@ class TestRationalFunction:
         assert f ** 2 == RationalFunction(P(1, -2, 1))
         assert f ** -1 == RationalFunction(1, P(1, -1))
         assert (f ** 0).is_one
+
+    def test_polynomial_operand_defers_to_the_rational_function(self):
+        p, f = P(1, 1), RationalFunction(1, P(1, -1))
+        assert p * f == f * p == RationalFunction(P(1, 1), P(1, -1))
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(p, f)
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(f, p)
+
+    @pytest.mark.parametrize("other", ["t", 1.5, Fraction(1, 2), [1, 1]])
+    def test_product_with_an_unsupported_operand(self, other):
+        f = RationalFunction(1, P(1, -1))
+        with pytest.raises(TypeError):
+            f * other
+        with pytest.raises(TypeError):
+            other * f
+
+
+# (x, u, one) per type: x is raised to n = 0..12, the unit u to exponents
+# past 2^1200, and one is what ``** 0`` gives.
+_POWER_CASES = {
+    "polynomial": (P(1, -1, 2), P(-1), ONE),
+    "rational-function": (RationalFunction(P(1, 1), P(1, -2)),
+                          RationalFunction(P(-1)), RationalFunction(1)),
+    "matrix": (RationalMatrix.from_rows([[1, 2], [Fraction(1, 3), -1]]),
+               -RationalMatrix.identity(2), RationalMatrix.identity(2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_POWER_CASES))
+def test_power_is_square_and_multiply(kind, monkeypatch):
+    x, unit, one = _POWER_CASES[kind]
+    cls = type(x)
+    mul = cls.__mul__
+    products = []
+    monkeypatch.setattr(cls, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    expected = one
+    for n in range(13):
+        products.clear()
+        assert x ** n == expected
+        # One squaring per bit of n after the first and one product by x
+        # per further set bit: the products of (x^(n//2))^2 x^(n%2).
+        assert len(products) == (n.bit_length() + bin(n).count("1") - 2
+                                 if n else 0)
+        if kind == "rational-function" and n:
+            assert x ** -n == expected.inverse()
+        expected = mul(expected, x)
+    assert unit ** 2 ** 1200 == one
+    assert unit ** (2 ** 1200 + 1) == unit
 
 
 # Integer polynomials for the properties below: degree <= max_degree and

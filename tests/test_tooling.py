@@ -37,6 +37,11 @@ LAYERS_UNDER = {
                "linalg.solve_columns"),
     "index": ("spectral.nonnilpotent_part", "spectral.generalized_image",
               "spectral.invariant_factors", "linalg.column_space"),
+    "jordan": ("spectral.jordan_profile", "spectral.invariant_factors",
+               "poly.squarefree_decomposition"),
+    "zeta": ("linalg.char_reversed", "linalg.charpoly",
+             "poly.RationalFunction"),
+    "morse": ("dynamics.morse_split_check", "dynamics.zeta_basic_set"),
 }
 
 
@@ -44,9 +49,12 @@ LAYERS_UNDER = {
 def test_tracer_sees_the_layers_under_each_report(command, fixture_path):
     # The per-layer metrics of bench/run.py come from these boundaries; a
     # basic-set analysis that bypassed them would zero their counters.
+    # morse needs the ambient homology maps, which only the torus has.
+    argv = [command, fixture_path("torus.json"), "--q", "1"] \
+        if command == "morse" else [command, fixture_path("fourhandle.json")]
     tracer = Tracer()
     with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
-        assert main([command, fixture_path("fourhandle.json")]) == 0
+        assert main(argv) == 0
     boundaries = tracer.summary()["boundaries"]
     for name in LAYERS_UNDER[command]:
         assert boundaries[name]["calls"] > 0, name
