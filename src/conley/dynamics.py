@@ -123,7 +123,7 @@ ORACLE_MAX_STEPS = 2 * 10**6
 
 
 class StepBudget:
-    """Stack entries that a run of enumerations may pop in all."""
+    """Steps (prefixes and words visited) a run of enumerations may take."""
 
     def __init__(self, steps=ORACLE_MAX_STEPS):
         self.steps = steps
@@ -161,11 +161,19 @@ def enumerate_periodic_oracle(shift, n, budget=None):
             if steps > budget.left:
                 raise ResourceError(message)
             prev, remaining = stack.pop()
-            if remaining == 0:
+            if remaining > 1:
+                for nxt in successors[prev]:
+                    stack.append((nxt, remaining - 1))
+            elif remaining:
+                # Words one symbol short close here, one step each.
+                nexts = successors[prev]
+                steps += len(nexts)
+                if steps > budget.left:
+                    raise ResourceError(message)
+                for nxt in nexts:
+                    total += adj[nxt][first]
+            else:
                 total += adj[prev][first]
-                continue
-            for nxt in successors[prev]:
-                stack.append((nxt, remaining - 1))
     budget.left -= max(steps, n)
     return total
 
@@ -420,10 +428,15 @@ def morse_split_check(system, q):
     if q > system.ambient_dim:
         raise ValidationError(f"q = {_shown(q)} exceeds the ambient "
                               f"dimension {_shown(system.ambient_dim)}")
-    missing = [k for k in range(q + 1) if k not in system.ambient_maps]
-    if missing:
-        raise ValidationError(f"missing ambient homology maps for degrees "
-                              f"{missing}")
+    present = sum(1 for k in system.ambient_maps if 0 <= k <= q)
+    if present <= q:
+        # The first five missing degrees lie below present + 5.
+        missing = [k for k in range(min(q + 1, present + 5))
+                   if k not in system.ambient_maps][:5]
+        more = q + 1 - present - len(missing)
+        raise ValidationError(
+            f"missing ambient homology maps for degrees {missing}"
+            + (f" and {_shown(more)} more" if more else ""))
     lhs = RationalFunction(1)
     for basic in system.sorted_sets():
         if basic.index_u <= q:

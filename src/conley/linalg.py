@@ -26,7 +26,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from ._modular import charpoly_mod, primes
-from .errors import DomainError, InvariantError, ShapeError
+from .errors import DomainError, InvariantError, ShapeError, _shown
 from .poly import IntPolynomial, _power
 
 # The scalar field: arbitrary-precision rationals from the standard
@@ -63,8 +63,8 @@ class RationalMatrix:
         denom, flat = _scaled(entries)
         if len(flat) != rows * cols:
             raise ShapeError(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, "
-                f"got {len(flat)}")
+                f"{_shown(rows)}x{_shown(cols)} matrix needs "
+                f"{_shown(rows * cols)} entries, got {len(flat)}")
         self.rows, self.cols, self._d, self._e = rows, cols, denom, flat
 
     @classmethod

@@ -6,7 +6,10 @@ coefficient of a nonzero polynomial.  All arithmetic runs on plain ``int``
 coefficients: division is integer long division that refuses a quotient
 outside Z[t], and gcds come from a primitive pseudo-remainder sequence in a
 canonical scaling (primitive, positive leading coefficient).  Products of
-rational functions cancel across the two factors before they multiply.
+rational functions cancel across the two factors before they multiply, and
+divide only by the gcds of positive degree.  The public constructor checks
+that every coefficient is an integer; results built inside this module come
+from int lists and are not checked again (``IntPolynomial._of``).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, _shown
 
 
 def _trim(coeffs):
@@ -36,15 +39,13 @@ def _power(x, n, one):
 
 
 def _coerce_int(c):
-    if isinstance(c, bool):
-        raise DomainError(f"coefficient {c!r} is not an integer")
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return c
-    if isinstance(c, Fraction):
-        if c.denominator != 1:
-            raise DomainError(f"coefficient {c} is not an integer")
+    if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
-    raise DomainError(f"coefficient {c!r} is not an integer")
+    shown = (f"{_shown(c.numerator)}/{_shown(c.denominator)}"
+             if isinstance(c, Fraction) else _shown(c))
+    raise DomainError(f"coefficient {shown} is not an integer")
 
 
 class IntPolynomial:
@@ -54,6 +55,13 @@ class IntPolynomial:
 
     def __init__(self, coeffs=()):
         self.coeffs = tuple(_trim([_coerce_int(c) for c in coeffs]))
+
+    @classmethod
+    def _of(cls, ints):
+        """A list of ints computed in this module, trimmed, not re-checked."""
+        out = cls.__new__(cls)
+        out.coeffs = tuple(_trim(ints))
+        return out
 
     @property
     def degree(self):
@@ -83,7 +91,7 @@ class IntPolynomial:
         return hash(self.coeffs)
 
     def __neg__(self):
-        return IntPolynomial([-c for c in self.coeffs])
+        return IntPolynomial._of([-c for c in self.coeffs])
 
     def __add__(self, other):
         if isinstance(other, RationalFunction):
@@ -95,7 +103,7 @@ class IntPolynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPolynomial(out)
+        return IntPolynomial._of(out)
 
     __radd__ = __add__
 
@@ -121,7 +129,7 @@ class IntPolynomial:
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return IntPolynomial(out)
+        return IntPolynomial._of(out)
 
     __rmul__ = __mul__
 
@@ -137,7 +145,8 @@ class IntPolynomial:
         return acc
 
     def derivative(self):
-        return IntPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
+        return IntPolynomial._of(
+            [k * c for k, c in enumerate(self.coeffs)][1:])
 
     def content(self):
         """gcd of the coefficients (0 for the zero polynomial)."""
@@ -147,7 +156,7 @@ class IntPolynomial:
         """Primitive part with positive leading coefficient."""
         if self.is_zero:
             return self
-        return IntPolynomial(_primitive(list(self.coeffs)))
+        return IntPolynomial._of(_primitive(list(self.coeffs)))
 
     @property
     def is_monic(self):
@@ -224,7 +233,7 @@ def poly_divmod(p, q):
             quot[k - db] = c
             s = k - db
             rem[s:k] = [x - c * y for x, y in zip(rem[s:k], den)]
-    return IntPolynomial(quot), IntPolynomial(rem[:db])
+    return IntPolynomial._of(quot), IntPolynomial._of(rem[:db])
 
 
 def exact_div(p, q):
@@ -246,19 +255,23 @@ def _primitive(cs):
 def _pseudo_rem(a, b):
     """A positive integer multiple of a mod b, for int lists with
     len(a) >= len(b) > 1 and b's leading entry positive.  Each step scales
-    the running remainder only by lead(b) / gcd(lead(b), leading term)."""
+    the running remainder only by lead(b) / gcd(lead(b), leading term) and
+    changes only the deg-b window below it; a lower coefficient takes the
+    product ``scale`` of those factors once, as the window reaches it."""
     r = list(a)
     db = len(b) - 1
     lead = b[-1]
+    scale = 1
     for k in range(len(r) - 1, db - 1, -1):
+        s = k - db
+        r[s] *= scale
         c = r[k]
         if not c:
             continue
         g = gcd(c, lead)
         m, c = lead // g, c // g
-        s = k - db
-        r = [m * x for x in r[:s]] + \
-            [m * x - c * y for x, y in zip(r[s:k], b)]
+        r[s:k] = [m * x - c * y for x, y in zip(r[s:k], b)]
+        scale *= m
     return _trim(r[:db])
 
 
@@ -282,7 +295,7 @@ def poly_gcd(p, q):
     while True:
         r = _pseudo_rem(a, b)
         if not r:
-            return IntPolynomial(b)
+            return IntPolynomial._of(b)
         if len(r) == 1:
             return ONE
         a, b = b, _primitive(r)
@@ -315,6 +328,14 @@ def squarefree_decomposition(p):
     return out
 
 
+def _cancelled(p, q):
+    """p and q divided by their gcd, when it has positive degree."""
+    g = poly_gcd(p, q)
+    if g.degree > 0:
+        return exact_div(p, g), exact_div(q, g)
+    return p, q
+
+
 class RationalFunction:
     """Quotient of integer polynomials in a canonical form: numerator and
     denominator coprime in Q[t] with coprime integer contents, denominator
@@ -327,9 +348,7 @@ class RationalFunction:
         if den.is_zero:
             raise DomainError("zero denominator in rational function")
         if not num.is_zero:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = exact_div(num, g), exact_div(den, g)
+            num, den = _cancelled(num, den)
         settled = self._settled(num, den)
         self.num, self.den = settled.num, settled.den
 
@@ -344,8 +363,8 @@ class RationalFunction:
                 num, den = -num, -den
             k = gcd(num.content(), den.content())
             if k > 1:
-                num = IntPolynomial([c // k for c in num.coeffs])
-                den = IntPolynomial([c // k for c in den.coeffs])
+                num = IntPolynomial._of([c // k for c in num.coeffs])
+                den = IntPolynomial._of([c // k for c in den.coeffs])
         out = cls.__new__(cls)
         out.num, out.den = num, den
         return out
@@ -375,12 +394,11 @@ class RationalFunction:
             return NotImplemented
         # Cross-cancellation (Henrici): with both factors canonical, the
         # product's only common factors are these two gcds, so after
-        # removing them the new numerator and denominator are coprime.
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        return RationalFunction._settled(
-            exact_div(self.num, g1) * exact_div(other.num, g2),
-            exact_div(self.den, g2) * exact_div(other.den, g1))
+        # removing them the new numerator and denominator are coprime.  A
+        # gcd of degree 0 is 1, and nothing is divided by it.
+        n1, d2 = _cancelled(self.num, other.den)
+        n2, d1 = _cancelled(other.num, self.den)
+        return RationalFunction._settled(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 

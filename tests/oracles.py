@@ -15,8 +15,12 @@ entry by entry over Fractions (the library runs products on
 denominator-cleared integers), integer roots come from trying every
 divisor of the constant term (the library lifts roots mod a prime
 p-adically), primes come from trial division and Fermat's test (the
-library runs Miller-Rabin), and the eventual image is the column space of
-A^n (the library follows the chain im A^k until its dimension holds).
+library runs Miller-Rabin), the eventual image is the column space of
+A^n (the library follows the chain im A^k until its dimension holds), a
+pseudo-remainder rescales the whole running remainder at every step (the
+library rescales each coefficient once, when its window reaches it), and
+periodic words are enumerated with one stack entry per word (the library
+closes the words of a prefix one symbol short in place).
 
 The reference reports are the one exception: they call the library's
 public functions, one per fact and each on the bare basic set, so every
@@ -26,13 +30,13 @@ basic set; they check the sharing, not the facts.
 
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 import random
 
 from conley.dynamics import (StepBudget, conley_index, count_periodic,
                              enumerate_periodic_oracle, lefschetz_series,
                              zeta_basic_set, zeta_via_index)
-from conley.errors import ResourceError
+from conley.errors import DomainError, ResourceError
 from conley.linalg import (RationalMatrix, Subspace, char_reversed_rational,
                            inverse)
 from conley.poly import RationalFunction
@@ -377,6 +381,54 @@ def poly_divmod_oracle(num, den):
     return _ptrim(quot), _ptrim(num)
 
 
+def pseudo_rem_oracle(a, b):
+    """The library's pseudo-remainder of int lists a by b, each step
+    scaling the whole running remainder by lead(b) / gcd(lead(b), leading
+    term) and rebuilding it."""
+    r = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    for k in range(len(r) - 1, db - 1, -1):
+        c = r[k]
+        if not c:
+            continue
+        g = gcd(c, lead)
+        m, c = lead // g, c // g
+        s = k - db
+        r = [m * x for x in r[:s]] + \
+            [m * x - c * y for x, y in zip(r[s:k], b)]
+    return _ptrim(r[:db])
+
+
+def enumerate_periodic_dfs(shift, n, budget):
+    """enumerate_periodic_oracle with one stack entry per prefix and per
+    word, each pop one step of ``budget``; the same count, the same
+    ResourceError and the same charge to the budget."""
+    if n < 1:
+        raise DomainError("period must be at least 1")
+    message = (f"enumerating periods up to {n} takes more than "
+               f"{budget.steps} steps")
+    if n > budget.left:
+        raise ResourceError(message)
+    adj = shift.adjacency
+    successors = [[j for j in range(shift.n) if row[j]] for row in adj]
+    total = steps = 0
+    for first in range(shift.n):
+        stack = [(first, n - 1)]
+        while stack:
+            steps += 1
+            if steps > budget.left:
+                raise ResourceError(message)
+            prev, remaining = stack.pop()
+            if remaining == 0:
+                total += adj[prev][first]
+                continue
+            for nxt in successors[prev]:
+                stack.append((nxt, remaining - 1))
+    budget.left -= max(steps, n)
+    return total
+
+
 def poly_gcd_oracle(a, b):
     """Monic gcd of ascending Fraction coefficient lists, not both zero
     (Euclid over the rationals)."""
@@ -537,11 +589,13 @@ def reference_verify_report(system, max_enum=6):
 __all__ = [
     "block_diag", "char_reversed_oracle", "charpoly_cofactor",
     "charpoly_oracle", "column_rref_oracle", "companion", "conjugate",
-    "det_oracle", "det_poly", "eventual_image_oracle",
+    "det_oracle", "det_poly", "enumerate_periodic_dfs",
+    "eventual_image_oracle",
     "integer_roots_oracle",
     "invariant_factors_oracle", "is_prime_fermat", "is_prime_trial",
     "jordan_block", "kernel_oracle", "mat_mul_oracle", "poly_divmod_oracle",
-    "poly_gcd_oracle", "primes_below_oracle", "quadratic_companion_block",
+    "poly_gcd_oracle", "primes_below_oracle", "pseudo_rem_oracle",
+    "quadratic_companion_block",
     "random_int_matrix",
     "random_rational_matrix", "random_shift_graph", "random_unimodular",
     "reference_index_report", "reference_verify_report", "rref_oracle",

@@ -462,6 +462,20 @@ class TestErrorHandling:
         assert err == ("error: q = <integer of 71 bits> exceeds the ambient "
                        "dimension 2\n")
 
+    def test_missing_maps_message_stays_short(self, capsys, tmp_path):
+        # No homology maps at all and q = dim = 10^6: the message names
+        # five degrees and a count, not a million.
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"basic_sets": [],
+                                    "ambient": {"dim": 10 ** 6}}),
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "morse", str(path),
+                                 "--q", str(10 ** 6))
+        assert (code, out) == (2, "")
+        assert err == ("error: missing ambient homology maps for degrees "
+                       "[0, 1, 2, 3, 4] and 999996 more\n")
+        assert len(err) < 200
+
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["morse"])          # missing file and --q

@@ -23,7 +23,8 @@ from conley.poly import IntPolynomial, RationalFunction, poly_mul
 from conley.report import build_index_report, build_verify_report
 from conley.spectral import is_similar
 
-from oracles import (block_diag, companion, conjugate, jordan_block,
+from oracles import (block_diag, companion, conjugate,
+                     enumerate_periodic_dfs, jordan_block,
                      mat_mul_oracle, random_int_matrix, random_shift_graph,
                      random_unimodular, reference_index_report,
                      reference_verify_report, zeta_via_index_reference)
@@ -185,6 +186,38 @@ class TestPeriodicCounts:
                     enumerate_periodic_oracle(shift, n)
 
 
+@st.composite
+def _walks(draw):
+    """A transition graph on at most 5 symbols and a period in 1..8."""
+    n = draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    adjacency = draw(st.lists(row, min_size=n, max_size=n))
+    return VertexShiftSpec.from_lists(adjacency, [1] * n), \
+        draw(st.integers(1, 8))
+
+
+def _enumerated(enumerate_fn, shift, period, steps):
+    budget = StepBudget(steps)
+    try:
+        out = enumerate_fn(shift, period, budget)
+    except ResourceError as exc:
+        out = str(exc)
+    return out, budget.left
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_walks(), st.sampled_from([0, -1, -2, 1]))
+def test_enumeration_matches_one_stack_entry_per_word(walk, offset):
+    # Budgets at, just below and just above the charge of the walk: the
+    # count or the overrun message, and the budget left, must match.
+    shift, period = walk
+    probe = StepBudget(10 ** 7)
+    enumerate_periodic_dfs(shift, period, probe)
+    steps = max(probe.steps - probe.left + offset, 0)
+    assert _enumerated(enumerate_periodic_oracle, shift, period, steps) == \
+        _enumerated(enumerate_periodic_dfs, shift, period, steps)
+
+
 class TestConleyIndex:
     def test_horseshoe_trivial_everywhere(self):
         index = conley_index(HORSESHOE, 2)
@@ -320,6 +353,23 @@ class TestMorse:
                             ambient_maps={0: RationalMatrix.from_rows([[1]])})
         with pytest.raises(ValidationError):
             morse_split_check(system, 1)
+
+    @pytest.mark.parametrize("present, q, named", [
+        ((0, 2, 3, 5), 5, "[1, 4]"),
+        ((1, 2, 3), 7, "[0, 4, 5, 6, 7]"),
+        ((1, 2, 3), 8, "[0, 4, 5, 6, 7] and 1 more"),
+        ((), 10 ** 6, "[0, 1, 2, 3, 4] and 999996 more"),
+    ])
+    def test_missing_maps_named_up_to_five(self, present, q, named):
+        # The check runs over the maps given, not over 0..q, so a huge q
+        # with no maps fails at once with a short message.
+        one = RationalMatrix.from_rows([[1]])
+        system = SystemSpec((), ambient_dim=q,
+                            ambient_maps={k: one for k in present})
+        with pytest.raises(ValidationError) as exc:
+            morse_split_check(system, q)
+        assert str(exc.value) == \
+            f"missing ambient homology maps for degrees {named}"
 
     def test_needs_ambient(self):
         system = SystemSpec(basic_sets=(TORUS_P,))

@@ -46,6 +46,15 @@ class TestMatMul:
         with pytest.raises(ShapeError):
             mat_mul(RationalMatrix.zeros(2, 3), RationalMatrix.zeros(2, 3))
 
+    @pytest.mark.parametrize("rows, cols, shown", [
+        (2, 3, "2x3 matrix needs 6 entries, got 1"),
+        (10 ** 5000, 1, "<integer of 16610 bits>x1 matrix needs "
+                        "<integer of 16610 bits> entries, got 1"),
+    ], ids=["small", "huge"])
+    def test_entry_count_mismatch_is_a_shape_error(self, rows, cols, shown):
+        with pytest.raises(ShapeError, match=f"^{shown}$"):
+            RationalMatrix(rows, cols, [1])
+
     def test_power_and_trace(self):
         assert (TORUS ** 3).trace() == -2
         assert (TORUS ** 0) == RationalMatrix.identity(2)

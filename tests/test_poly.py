@@ -1,18 +1,22 @@
 import operator
 import random
+import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conley import poly
 from conley.errors import DomainError
 from conley.linalg import RationalMatrix
 from conley.poly import (ONE, T, ZERO, IntPolynomial, RationalFunction,
-                         poly_divmod, poly_gcd, poly_mul, ratfunc_inv,
-                         ratfunc_mul, squarefree_decomposition)
+                         _pseudo_rem, poly_divmod, poly_gcd, poly_mul,
+                         ratfunc_inv, ratfunc_mul, squarefree_decomposition)
+from conley.report import build_zeta_report
+from conley.system_io import system_from_dict
 
-from oracles import poly_divmod_oracle, poly_gcd_oracle
+from oracles import poly_divmod_oracle, poly_gcd_oracle, pseudo_rem_oracle
 
 
 def P(*coeffs):
@@ -59,6 +63,17 @@ class TestArithmetic:
     def test_rejects_fractional_coefficients(self):
         with pytest.raises(DomainError):
             IntPolynomial([1.5])
+
+    @pytest.mark.parametrize("bad, shown", [
+        (True, "True"), (Fraction(1, 2), "1/2"), (Fraction(-7, 3), "-7/3"),
+        ("1", "'1'"), (Fraction(10 ** 5000, 3), "<integer of 16610 bits>/3"),
+    ], ids=["bool", "half", "negative", "string", "huge"])
+    def test_public_constructor_checks_every_coefficient(self, bad, shown):
+        # Results built inside the module skip this check; a caller's
+        # coefficients do not, and a huge one is abbreviated, not str()-ed.
+        with pytest.raises(DomainError, match=re.escape(
+                f"coefficient {shown} is not an integer")):
+            IntPolynomial([1, bad])
 
     def test_content_and_normalized(self):
         assert P(2, 4, -6).content() == 2
@@ -317,7 +332,72 @@ def _primitive_oracle(cs):
     return IntPolynomial([int(c * den) for c in cs]).normalized()
 
 
+@st.composite
+def _remainder_pairs(draw):
+    """(a, b) as _pseudo_rem takes them: len(a) >= len(b) > 1, b's leading
+    entry positive and often above 1, and a with zeros inside, so steps
+    are skipped and scale factors build up between the ones that run."""
+    b = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4))
+    b.append(draw(st.integers(1, 6)))
+    inner = st.one_of(st.just(0), st.integers(-9, 9))
+    a = draw(st.lists(inner, min_size=len(b) - 1, max_size=10))
+    a.append(draw(st.sampled_from([-6, -4, -1, 1, 3, 5])))
+    return a, b
+
+
+def _canonical_product(f, g):
+    """(num, den) of f * g: multiplied out, cancelled by one gcd of the full
+    products, divided by long division over Q, and scaled to a positive
+    leading denominator and coprime integer contents."""
+    num, den = f.num * g.num, f.den * g.den
+    if num.is_zero:
+        return ZERO, ONE
+    common = _fractions(poly_gcd(num, den))
+    num, den = (IntPolynomial(poly_divmod_oracle(_fractions(p), common)[0])
+                for p in (num, den))
+    if den.leading < 0:
+        num, den = -num, -den
+    k = gcd(num.content(), den.content())
+    return (IntPolynomial([c // k for c in num.coeffs]),
+            IntPolynomial([c // k for c in den.coeffs]))
+
+
+# Five basic sets whose zeta factors 1 - t, 1 + t and 1 - t - t^2 recur
+# across sets, so the running product both cancels and multiplies.
+_ZETA_SYSTEM = {
+    "basic_sets": [
+        {"name": "a", "index": 1, "matrix": [[1, 1], [1, 0]]},
+        {"name": "b", "index": 0, "matrix": [[1, 0], [0, -1]]},
+        {"name": "c", "index": 1, "matrix": [[1]]},
+        {"name": "d", "index": 2, "matrix": [[0, 1], [1, 1]]},
+        {"name": "e", "index": 1, "matrix": [[-1]]},
+    ],
+    "ambient": {"dim": 2, "homology_maps": {}},
+}
+
+
+def test_zeta_product_divides_only_by_nonconstant_gcds(monkeypatch):
+    divisors = []
+    exact_div = poly.exact_div
+
+    def recording(p, q):
+        divisors.append(q)
+        return exact_div(p, q)
+
+    monkeypatch.setattr(poly, "exact_div", recording)
+    report = build_zeta_report(system_from_dict(_ZETA_SYSTEM))
+    assert report["product"]["display"] == "1"
+    assert divisors
+    assert all(q.degree > 0 for q in divisors)
+
+
 class TestIntegerLayerAgainstOracles:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_remainder_pairs())
+    def test_pseudo_remainder_matches_whole_remainder_rescaling(self, pair):
+        a, b = pair
+        assert _pseudo_rem(a, b) == pseudo_rem_oracle(a, b)
+
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(_gcd_pairs())
     def test_gcd_matches_euclid_over_q(self, pair):
@@ -362,3 +442,9 @@ class TestIntegerLayerAgainstOracles:
         assert f * g == expected
         assert g * f == expected
         assert f * g.num == RationalFunction(f.num * g.num, f.den)
+        # The same, with the canonical form built by hand from one gcd.
+        for x, y in ((f, g), (g, f), (f, f)):
+            product = x * y
+            assert (product.num, product.den) == _canonical_product(x, y)
+            assert poly_gcd_oracle(_fractions(product.num),
+                                   _fractions(product.den)) == [1]
