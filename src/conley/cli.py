@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from threading import Lock
 
 from .errors import (ConleyError, InvariantError, ResourceError,
                      ValidationError)
@@ -23,8 +22,6 @@ from .system_io import parse_system
 EXIT_OK = 0
 EXIT_USER_ERROR = 2
 EXIT_INVARIANT = 3
-
-_DIGIT_LIMIT_LOCK = Lock()
 
 
 @cache
@@ -59,40 +56,29 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    # Input is parsed under the interpreter's limit on int string digits
-    # (absent before 3.10.7); computed coefficients may exceed it.  The
-    # limit is process-wide, so concurrent calls run one at a time.
-    with _DIGIT_LIMIT_LOCK:
-        limit = sys.get_int_max_str_digits() \
-            if hasattr(sys, "set_int_max_str_digits") else None
-        try:
-            system = parse_system(args.file)
-            if limit is not None:
-                sys.set_int_max_str_digits(0)
-            if args.command == "index":
-                report = build_index_report(system)
-            elif args.command == "jordan":
-                report = build_jordan_report(system)
-            elif args.command == "zeta":
-                report = build_zeta_report(system)
-            elif args.command == "morse":
-                report = build_morse_report(system, args.q)
-            else:
-                report = build_verify_report(system, max_enum=args.max_enum)
-            rendered = render_json(report) if args.format == "json" \
-                else render_text(report)
-        except (ValidationError, ResourceError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USER_ERROR
-        except InvariantError as exc:
-            print(f"internal invariant violated: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
-        except ConleyError as exc:
-            print(f"internal error: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
-        finally:
-            if limit is not None:
-                sys.set_int_max_str_digits(limit)
+    try:
+        system = parse_system(args.file)
+        if args.command == "index":
+            report = build_index_report(system)
+        elif args.command == "jordan":
+            report = build_jordan_report(system)
+        elif args.command == "zeta":
+            report = build_zeta_report(system)
+        elif args.command == "morse":
+            report = build_morse_report(system, args.q)
+        else:
+            report = build_verify_report(system, max_enum=args.max_enum)
+        rendered = render_json(report) if args.format == "json" \
+            else render_text(report)
+    except (ValidationError, ResourceError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USER_ERROR
+    except InvariantError as exc:
+        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except ConleyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
     sys.stdout.write(rendered)
     if args.command == "verify" and not report["ok"]:

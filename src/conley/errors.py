@@ -13,6 +13,19 @@ def _shown(x):
     return repr(x)
 
 
+def _decimal(n):
+    """str(n) for an int of any length, written in pieces of fewer than 600
+    digits, so no piece crosses the interpreter's int-string digit limit
+    (640 at the lowest)."""
+    if n.bit_length() < 1990:           # |n| < 2**1989 < 10**599
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20        # about half of n's digits
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 class ConleyError(Exception):
     """Base class for all errors raised by this package."""
 

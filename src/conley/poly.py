@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError, _shown
+from .errors import DomainError, _decimal, _shown
 
 
 def _trim(coeffs):
@@ -169,12 +169,12 @@ class IntPolynomial:
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            mag = abs(c)
+            mag = _decimal(abs(c))
             if k == 0:
-                body = str(mag)
+                body = mag
             else:
                 var = "t" if k == 1 else f"t^{k}"
-                body = var if mag == 1 else f"{mag}{var}"
+                body = var if mag == "1" else f"{mag}{var}"
             if not parts:
                 parts.append(f"-{body}" if c < 0 else body)
             else:
@@ -322,8 +322,8 @@ def squarefree_decomposition(p):
         a = poly_gcd(c, d)
         if a.degree > 0:
             out.append((a, i))
-        c = exact_div(c, a)
-        d = exact_div(d, a) - c.derivative()
+            c, d = exact_div(c, a), exact_div(d, a)
+        d = d - c.derivative()
         i += 1
     return out
 

@@ -15,14 +15,14 @@ from .dynamics import (BasicSetAnalysis, StepBudget, _power_traces,
                        conley_index, count_periodic,
                        enumerate_periodic_oracle, lefschetz_series,
                        morse_split_check, zeta_basic_set, zeta_via_index)
-from .errors import ResourceError, ValidationError, _shown
+from .errors import ResourceError, ValidationError, _decimal, _shown
 from .poly import IntPolynomial
 from .spectral import generalized_kernel, jordan_profile
 
 
 def encode_fraction(x):
     return x.numerator if x.denominator == 1 else \
-        f"{x.numerator}/{x.denominator}"
+        f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
 def encode_matrix(m):
@@ -207,7 +207,25 @@ def build_verify_report(system, max_enum=6):
 # rendering
 
 def render_json(report):
-    return json.dumps(report, indent=2) + "\n"
+    return _json(report, "") + "\n"
+
+
+def _json(x, indent):
+    """json.dumps(x, indent=2) for x nested at ``indent``, with its ints
+    written by ``_decimal`` (json writes them with int.__repr__)."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return _decimal(x)
+    if not x or not isinstance(x, (dict, list, tuple)):
+        return json.dumps(x)
+    inner = indent + "  "
+    if isinstance(x, dict):
+        items = [f"{json.dumps(k)}: {_json(v, inner)}" for k, v in x.items()]
+        brackets = "{}"
+    else:
+        items = [_json(v, inner) for v in x]
+        brackets = "[]"
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{indent}{brackets[1]}")
 
 
 def _text_set_header(section, lines):
@@ -222,7 +240,8 @@ def _text_set_header(section, lines):
 def _decoded_matrix_lines(rows):
     if not rows or not rows[0]:
         return [f"[] ({len(rows)}x{len(rows[0]) if rows else 0})"]
-    cells = [[str(x) for x in row] for row in rows]
+    cells = [[x if isinstance(x, str) else _decimal(x) for x in row]
+             for row in rows]
     width = max(len(s) for row in cells for s in row)
     return ["[" + " ".join(f"{s:>{width}}" for s in row) + "]"
             for row in cells]

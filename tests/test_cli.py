@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,10 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 from conley import cli, dynamics, linalg, spectral
 from conley.cli import main
-from conley.errors import InvariantError
+from conley.errors import InvariantError, ValidationError, _decimal
+from conley.report import (build_index_report, build_jordan_report,
+                           build_morse_report, build_verify_report,
+                           build_zeta_report, render_json, render_text)
+from conley.system_io import parse_system, system_from_dict
 
 from oracles import (block_diag, companion, det_oracle,
                      quadratic_companion_block)
+from test_golden import RATIONAL
 
 
 def run_cli(capsys, *argv):
@@ -196,8 +202,8 @@ class TestZetaCommand:
 
     def test_concurrent_calls_keep_the_digit_limit(self, capsys, tmp_path):
         # One thread prints coefficients past the default digit limit while
-        # another keeps parsing; each call lifts and restores the
-        # process-wide limit, so the calls must not interleave.
+        # another keeps parsing under it; neither call changes the
+        # process-wide limit, so each sees the one the other sees.
         rng = random.Random(1)
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"basic_sets": [{
@@ -241,6 +247,118 @@ def _from_digits(s):
     pieces that each stay under the interpreter's default digit limit."""
     sign, s = (-1, s[1:]) if s.startswith("-") else (1, s)
     return sign * (int(s[:-3000] or "0") * 10 ** 3000 + int(s[-3000:]))
+
+
+@contextlib.contextmanager
+def _digit_limit_set(value):
+    """Set the interpreter's digit limit inside the block (where it has
+    one) and restore it on every exit."""
+    limit = _digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(value)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_matches_str_at_any_length():
+    rng = random.Random(1)
+    cases = [0, 1, -1]
+    for k in (599, 600, 601, 1200, 5000):
+        for n in (10 ** k - 1, 10 ** k, 10 ** k + 1):
+            cases += [n, -n]
+    cases += [rng.choice((1, -1))
+              * rng.randrange(10 ** rng.randrange(1, 20001))
+              for _ in range(60)]
+    with _digit_limit_set(0):
+        expected = [str(n) for n in cases]
+        assert [_decimal(n) for n in cases] == expected
+    # no piece crosses the lowest limit the interpreter accepts
+    with _digit_limit_set(640):
+        assert [_decimal(n) for n in cases] == expected
+
+
+def _reports(system, q_values=(0, 1, 2)):
+    """Every report of every command on one system; morse at each q whose
+    ambient maps the system provides."""
+    yield build_index_report(system)
+    yield build_jordan_report(system)
+    yield build_zeta_report(system)
+    yield build_verify_report(system)
+    for q in q_values:
+        try:
+            yield build_morse_report(system, q)
+        except ValidationError:
+            pass
+
+
+def test_render_json_writes_what_json_dumps_writes():
+    rational = dict(RATIONAL, basic_sets=RATIONAL["basic_sets"] + [
+        {"name": "\u00e9", "index": 0, "matrix": [[0, 1], [0, 0]]}])
+    systems = [system_from_dict(rational)] + [
+        parse_system(path) for path in
+        sorted(pathlib.Path(__file__).parent.joinpath("fixtures").glob(
+            "*.json"))]
+    reports = [r for system in systems for r in _reports(system)]
+    assert {r["command"] for r in reports} == \
+        {"index", "jordan", "zeta", "morse", "verify"}
+    rendered = [render_json(r) for r in reports]
+    assert rendered == [json.dumps(r, indent=2) + "\n" for r in reports]
+    text = "".join(rendered)
+    for piece in ("[]", "null", "true", "false", '"\\u00e9"'):
+        assert piece in text
+
+
+def test_library_prints_integers_of_any_length():
+    # Outside cli.main, under the interpreter's default digit limit.
+    big = 2 ** 16000
+    system = system_from_dict({"basic_sets": [
+        {"name": "big", "index": 1, "matrix": [[big, 1], [1, 0]]}]})
+    report = build_zeta_report(system)
+    zeta = report["basic_sets"][0]["zeta"]
+    assert -big in zeta["numerator"] + zeta["denominator"]
+    text = render_text(report)
+    matrix_row = re.search(r"\[(\d+) +1\]", text).group(1)
+    assert _from_digits(matrix_row) == big
+    coefficients = re.findall(r"(\d{4000,})t", text)
+    assert coefficients and all(_from_digits(c) == big for c in coefficients)
+    decoded = json.loads(render_json(report), parse_int=str)
+    section = decoded["basic_sets"][0]
+    assert _from_digits(section["matrix"][0][0]) == big
+    assert [[_from_digits(c) for c in section["zeta"][key]]
+            for key in ("numerator", "denominator")] == \
+        [zeta["numerator"], zeta["denominator"]]
+    assert section["zeta"]["display"] == zeta["display"]
+
+
+def test_main_leaves_the_digit_limit_alone(tmp_path):
+    rng = random.Random(1)
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"basic_sets": [{
+        "name": "d", "index": 1,
+        "matrix": [[rng.randrange(10 ** 400, 10 ** 401)
+                    for _ in range(12)] for _ in range(12)]}]}),
+        encoding="utf-8")
+    limit = _digit_limit()
+    seen = set()
+    codes = []
+    out = io.StringIO()
+
+    def printer():
+        with contextlib.redirect_stdout(out):
+            codes.append(main(["zeta", str(big)]))
+
+    thread = threading.Thread(target=printer)
+    thread.start()
+    while thread.is_alive():
+        seen.add(_digit_limit())
+        time.sleep(0.001)
+    thread.join()
+    assert (codes, seen) == ([0], {limit})
+    # det(I - A t) has coefficients past the default limit of 4300 digits
+    assert re.search(r"\d{4400,}", out.getvalue())
 
 
 class TestMorseCommand:

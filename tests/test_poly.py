@@ -13,7 +13,7 @@ from conley.linalg import RationalMatrix
 from conley.poly import (ONE, T, ZERO, IntPolynomial, RationalFunction,
                          _pseudo_rem, poly_divmod, poly_gcd, poly_mul,
                          ratfunc_inv, ratfunc_mul, squarefree_decomposition)
-from conley.report import build_zeta_report
+from conley.report import build_jordan_report, build_zeta_report
 from conley.system_io import system_from_dict
 
 from oracles import poly_divmod_oracle, poly_gcd_oracle, pseudo_rem_oracle
@@ -387,6 +387,15 @@ def test_zeta_product_divides_only_by_nonconstant_gcds(monkeypatch):
     monkeypatch.setattr(poly, "exact_div", recording)
     report = build_zeta_report(system_from_dict(_ZETA_SYSTEM))
     assert report["product"]["display"] == "1"
+    assert divisors
+    assert all(q.degree > 0 for q in divisors)
+    # Yun's loop in squarefree_decomposition: (t - 1)^3 has no factor of
+    # multiplicity 1 or 2, so those steps' gcds are 1 and divide nothing.
+    divisors.clear()
+    report = build_jordan_report(system_from_dict({"basic_sets": [
+        {"name": "j", "index": 1,
+         "matrix": [[1, 1, 0], [0, 1, 1], [0, 0, 1]]}]}))
+    assert report["basic_sets"][0]["jordan_profile"][0]["block_sizes"] == [3]
     assert divisors
     assert all(q.degree > 0 for q in divisors)
 
