@@ -13,7 +13,8 @@ Gauss-Jordan elimination: every intermediate is an integer minor of the
 input, and the reduced echelon form is d times an integer matrix, which
 becomes the stored form with denominator d.  The cyclic decomposition
 behind ``spectral.invariant_factors`` calls the same elimination directly
-on its integer Krylov chains.
+on the independent vectors of its integer Krylov chains, for the quotient
+map; the chains themselves are eliminated as they grow, in ``spectral``.
 Subspaces carry a canonical basis (the reduced column echelon form) built
 by one elimination, so equal subspaces compare equal entrywise.
 """

@@ -10,6 +10,7 @@ same input yields byte-identical output on every run.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .dynamics import (BasicSetAnalysis, StepBudget, _power_traces,
                        conley_index, count_periodic,
@@ -212,14 +213,18 @@ def render_json(report):
 
 def _json(x, indent):
     """json.dumps(x, indent=2) for x nested at ``indent``, with its ints
-    written by ``_decimal`` (json writes them with int.__repr__)."""
+    written by ``_decimal`` (json writes them with int.__repr__) and its
+    strings, keys included, by the encoder json.dumps uses for them."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
     if isinstance(x, int) and not isinstance(x, bool):
         return _decimal(x)
     if not x or not isinstance(x, (dict, list, tuple)):
         return json.dumps(x)
     inner = indent + "  "
     if isinstance(x, dict):
-        items = [f"{json.dumps(k)}: {_json(v, inner)}" for k, v in x.items()]
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                 for k, v in x.items()]
         brackets = "{}"
     else:
         items = [_json(v, inner) for v in x]

@@ -10,10 +10,12 @@ Similarity over the rationals is certified by invariant factors (the
 diagonal of the Smith normal form of tI - A over Q[t]), obtained from a
 cyclic decomposition: the minimal polynomial is the annihilator of a
 suitable vector, and the rest comes from the map induced on the quotient
-by that vector's cyclic subspace.  All of it runs on integer rows: one
-fraction-free elimination of the Krylov chain gives the annihilator, and
-a second, of the chain's independent vectors as rows, the quotient map as
-a Schur complement.  A module is generated by a trial vector and the
+by that vector's cyclic subspace.  All of it runs on integer rows: the
+Krylov chain is eliminated fraction-free as it grows and stops at its
+first dependent vector, whose integer coordinates on the earlier ones
+give the monic annihilator, and one elimination of the chain's
+independent vectors as rows gives the quotient map as a Schur
+complement.  A module is generated by a trial vector and the
 lifts of its quotient's generators, so an annihilator is certified to be
 the minimal polynomial on the lifted trial vectors of the lower levels,
 not on every unit vector.  The block
@@ -138,8 +140,9 @@ def _trial(n, x):
 
 def _kills(rows, q, w):
     """True when q(B) w = 0, B the integer matrix with these rows and q
-    ascending integer coefficients (Horner's rule)."""
-    out = [q[-1] * z for z in w]
+    the ascending integer coefficients of a monic polynomial (Horner's
+    rule)."""
+    out = w
     for c in reversed(q[:-1]):
         out = [sum(map(mul, row, out)) + c * z for row, z in zip(rows, w)]
     return not any(out)
@@ -172,12 +175,83 @@ def _quotient(denom, rows, chain):
     return (units, *quotient._scaled_int_rows())
 
 
+def _krylov(rows, v):
+    """(chain, columns, dependent): the Krylov chain v, Bv, ..., B^(d-1) v
+    of B = rows up to its first dependent vector B^d v, each vector
+    eliminated against the earlier ones as it arrives (column-incremental
+    fraction-free Bareiss, forward only).
+
+    With its entries in pivot order, a new vector y meets step k of each
+    earlier column in turn: every entry below position k becomes (p y_i -
+    f y_k) / prev, p the k-th pivot, prev the one before (1 for k = 0) and
+    f the k-th column's entry i.  Entries are then minors of the Krylov
+    matrix (Sylvester's identity), so each division is exact.  The first
+    nonzero entry below the pivots becomes the next pivot (swapped to
+    position d); a vector with none is B^d v.  Column k of ``columns`` is
+    upper triangular with its pivot at position k; ``dependent`` is B^d v
+    eliminated, zero from position d on.
+    """
+    n = len(rows)
+    order = list(range(n))
+    chain, columns = [], []
+    w = v
+    while True:
+        y = [w[i] for i in order]
+        prev = 1
+        for k, col in enumerate(columns):
+            p, z = col[k], y[k]
+            if z:
+                y[k + 1:] = [(p * a - f * z) // prev
+                             for a, f in zip(y[k + 1:], col[k + 1:])]
+            elif p != prev:
+                y[k + 1:] = [p * a // prev for a in y[k + 1:]]
+            prev = p
+        d = len(chain)
+        for j in range(d, n):
+            if y[j]:
+                break
+        else:
+            return chain, columns, y
+        if j != d:
+            order[d], order[j] = order[j], order[d]
+            for col in columns:
+                col[d], col[j] = col[j], col[d]
+            y[d], y[j] = y[j], y[d]
+        chain.append(w)
+        columns.append(y)
+        w = _apply(rows, w)
+
+
+def _annihilator(columns, dependent):
+    """Ascending coefficients of the monic annihilator q = t^d - sum c_k
+    t^k of v, read off _krylov's eliminated chain: B^d v = sum c_k B^k v,
+    and the elimination turns that into the upper triangular system sum
+    columns[j][k] c_j = dependent[k], k < d, solved by back substitution.
+
+    B is an integer matrix, so the annihilator of v divides det(tI - B)
+    and is monic in Z[t] by Gauss's lemma: the c_k are integers and every
+    division is exact.  A remainder is an arithmetic fault.
+    """
+    d = len(columns)
+    c = [0] * d
+    for k in range(d - 1, -1, -1):
+        s = dependent[k]
+        for j in range(k + 1, d):
+            s -= columns[j][k] * c[j]
+        c[k], r = divmod(s, columns[k][k])
+        if r:
+            raise InvariantError("the Krylov coordinates are not integral")
+    return [-x for x in c] + [1]
+
+
 def _split_cyclic(denom, rows, start):
     """(x, q, units, D, rows') for the first trial vector v = (1, x, x^2,
-    ...), x >= start, whose annihilator q under B = rows passes the probe,
-    and _quotient's map modulo its cyclic subspace Z(v) ([], 1, [] if Z(v)
-    is everything).  If q is the minimal polynomial, Z(v) has an invariant
-    complement, so the quotient carries the other invariant factors.
+    ...), x >= start, whose monic annihilator q under B = rows passes the
+    probe, and _quotient's map modulo its cyclic subspace Z(v) ([], 1, []
+    if Z(v) is everything).  If q is the minimal polynomial, Z(v) has an
+    invariant complement, so the quotient carries the other invariant
+    factors.  Each chain stops at its first dependent vector, so a trial
+    whose annihilator has degree d forms d products with B, not n.
 
     v misses the minimal polynomial mu only inside ker (mu / r)(B), r one
     of the at most n irreducible factors of mu; any n trial vectors are
@@ -185,19 +259,12 @@ def _split_cyclic(denom, rows, start):
     """
     n = len(rows)
     for x in range(start, n * (n - 1) + 2):
-        chain = [_trial(n, x)]
-        for _ in range(n):
-            chain.append(_apply(rows, chain[-1]))
-        krylov = [list(col) for col in zip(*chain)]
-        pivots, last = _gauss_jordan(krylov)
-        d = len(pivots)
-        # The pivots are columns 0..d-1, and column d is last times the
-        # coordinates of B^d v on them: q(B) v = 0.
-        q = [-krylov[k][d] for k in range(d)] + [last]
-        if d == n:
+        chain, columns, dependent = _krylov(rows, _trial(n, x))
+        q = _annihilator(columns, dependent)
+        if len(chain) == n:
             return x, q, [], 1, []
         if _probe(rows, q, x):
-            return (x, q, *_quotient(denom, rows, chain[:d]))
+            return (x, q, *_quotient(denom, rows, chain))
     raise InvariantError("no trial vector reached the minimal polynomial")
 
 

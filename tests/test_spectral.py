@@ -570,34 +570,116 @@ def test_repeated_root_stops_the_prime_search(f):
 
 
 def _drop_last_pivot(when):
-    """A corrupted elimination: the real one, minus its last pivot on the
-    matrices for which when(matrix, pivots) holds."""
-    def eliminate(m):
-        pivots, d = linalg._gauss_jordan(m)
-        return (pivots[:-1] if when(m, pivots) else pivots), d
+    """A corrupted Krylov elimination: the real one, minus its last pivot
+    on the chains of d vectors in n dimensions for which when(n, d) holds,
+    so the last independent vector reads as the dependent one."""
+    krylov = spectral._krylov
+
+    def eliminate(rows, v):
+        chain, columns, dependent = krylov(rows, v)
+        if when(len(rows), len(chain)):
+            return chain[:-1], columns[:-1], columns[-1]
+        return chain, columns, dependent
     return eliminate
 
 
-@pytest.mark.parametrize("when, message", [
-    # Every elimination: each annihilator loses its top coefficient, so
-    # the probe rejects every trial vector and the search stops at its
-    # bound before any chain is eliminated as rows.
-    (lambda m, pivots: True, "no trial vector"),
-    # Only rank-deficient ones, i.e. Krylov chains of a derogatory
-    # matrix: every trial vector fails, and the search stops at its bound.
-    (lambda m, pivots: len(pivots) < len(m), "no trial vector"),
-    # Only full-rank ones: the derogatory Krylov chain keeps its
-    # annihilator, which passes the probe, and the elimination of the
-    # chain as rows then loses a pivot.
-    (lambda m, pivots: len(pivots) == len(m), "do not span"),
-], ids=["every", "rank_deficient", "full_rank"])
-def test_corrupted_elimination_raises_promptly(monkeypatch, when, message):
-    a = block_diag([companion([-2, 0, 1])] * 2 + [companion([-1, 1])])
-    monkeypatch.setattr(spectral, "_gauss_jordan", _drop_last_pivot(when))
+DEROGATORY = block_diag([companion([-2, 0, 1])] * 2 + [companion([-1, 1])])
+
+
+@pytest.mark.parametrize("a, when, message", [
+    # Every chain: each annihilator has too low a degree to kill the next
+    # trial vector, so the probe rejects every trial vector and the
+    # search stops at its bound.
+    (DEROGATORY, lambda n, d: True, "no trial vector"),
+    # Only chains that stop short of n, i.e. those of the derogatory top
+    # level: every trial vector there fails the probe.
+    (DEROGATORY, lambda n, d: d < n, "no trial vector"),
+    # Only chains that fill their space: the top level passes, and every
+    # trial vector of the 2 x 2 quotient below it fails the probe.
+    (DEROGATORY, lambda n, d: d == n, "no trial vector"),
+    # The first chain cut at its second pivot, 9: the coordinates of B^2 v
+    # on v and Bv in the triangular system are not integers, which no
+    # integer matrix allows.
+    (RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]]),
+     lambda n, d: True, "not integral"),
+], ids=["every", "rank_deficient", "full_rank", "inexact"])
+def test_corrupted_elimination_raises_promptly(monkeypatch, a, when,
+                                               message):
+    monkeypatch.setattr(spectral, "_krylov", _drop_last_pivot(when))
     start = time.perf_counter()
     with pytest.raises(InvariantError, match=message):
         invariant_factors(a)
     assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def integer_matrices(draw):
+    """A random integer matrix with n <= 10, or a unimodular conjugate of
+    a block sum of companion matrices of total degree <= 10, in which
+    factors may repeat (a derogatory matrix)."""
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        return random_int_matrix(rng, draw(st.integers(1, 10)))
+    factors = draw(st.lists(st.sampled_from(
+        [[-1, 1], [1, 1], [0, 1], [2, 1], [-2, 0, 1], [1, 0, 1],
+         [1, -1, 1], [1, 0, 0, 1]]), min_size=1, max_size=6))
+    while sum(len(f) - 1 for f in factors) > 10:
+        factors.pop()
+    base = block_diag([companion(f) for f in factors])
+    return conjugate(random_unimodular(rng, base.rows), base)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(integer_matrices(), st.integers(1, 4))
+def test_incremental_chain_matches_full_elimination(a, x):
+    # The chain stops at the rank of the full n x (n + 1) Krylov matrix,
+    # and its monic annihilator is that elimination's q (last times the
+    # monic one) divided by its last entry.
+    denom, rows = a._scaled_int_rows()
+    assert denom == 1
+    n = len(rows)
+    vectors = [spectral._trial(n, x)]
+    for _ in range(n):
+        vectors.append([sum(b * w for b, w in zip(row, vectors[-1]))
+                        for row in rows])
+    krylov = [list(col) for col in zip(*vectors)]
+    pivots, last = linalg._gauss_jordan(krylov)
+    d = len(pivots)
+    assert pivots == list(range(d))
+    full_q = [-krylov[k][d] for k in range(d)] + [last]
+    chain, columns, dependent = spectral._krylov(rows, vectors[0])
+    assert chain == vectors[:d]
+    assert spectral._annihilator(columns, dependent) == \
+        [Fraction(c, last) for c in full_q]
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_krylov_chains_stop_at_their_first_dependency(monkeypatch, n):
+    # 2 I_n splits into n levels, each chain v, Bv = 2v: one product per
+    # level, where a chain of all n_j + 1 vectors formed n (n + 1) / 2
+    # (78 on 2 I_12, 820 on 2 I_40).  _quotient's Schur-complement
+    # products, one per unit vector, are counted apart.
+    counts = {"krylov": 0, "quotient": 0}
+    in_quotient = []
+    apply, quotient = spectral._apply, spectral._quotient
+
+    def counted_apply(rows, w):
+        counts["quotient" if in_quotient else "krylov"] += 1
+        return apply(rows, w)
+
+    def counted_quotient(*args):
+        in_quotient.append(True)
+        try:
+            return quotient(*args)
+        finally:
+            in_quotient.pop()
+
+    monkeypatch.setattr(spectral, "_apply", counted_apply)
+    monkeypatch.setattr(spectral, "_quotient", counted_quotient)
+    a = RationalMatrix.from_rows(
+        [[2 * (i == j) for j in range(n)] for i in range(n)])
+    assert invariant_factors(a) == [P(-2, 1)] * n
+    assert counts == {"krylov": n, "quotient": n * (n - 1) // 2}
 
 
 def _fraction(rng, nonzero=False):
