@@ -16,9 +16,8 @@ zeta routes start from different facts, det(I - A t) and det(I - A+ t).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import mul
 
 from .errors import DomainError, InvariantError, ResourceError, \
@@ -334,15 +333,10 @@ def zeta_via_index(basic, ambient_dim):
 
 def _power_traces(a, m):
     """Traces of a, a^2, ..., a^m, m >= 1, from the powers up to h =
-    ceil(m / 2) alone (h - 1 products): tr a^(h+k) = tr(a^h a^k) is the
-    sum of (a^h)_rc (a^k)_cr over all r, c, for k = 1..m - h."""
+    ceil(m / 2) alone (h - 1 products): tr a^(h+k) = tr(a^h a^k)."""
     powers = list(accumulate(repeat(a, (m + 1) // 2), mul))
-    top_d, top = powers[-1]._scaled_int_rows()
-    cells = list(chain.from_iterable(top))
-    return [p.trace() for p in powers] + [
-        Fraction(sum(map(mul, cells, chain.from_iterable(zip(*rows)))),
-                 top_d * d)
-        for d, rows in (p._scaled_int_rows() for p in powers[:m // 2])]
+    return ([p.trace() for p in powers]
+            + [powers[-1].product_trace(p) for p in powers[:m // 2]])
 
 
 def lefschetz_series(basic, ambient_dim, m):

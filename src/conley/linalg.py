@@ -180,6 +180,16 @@ class RationalMatrix:
         self._require_square("trace")
         return Fraction(sum(self._e[::self.cols + 1]), self._d)
 
+    def product_trace(self, other):
+        """tr(self * other) without forming the product: the sum of
+        self_rc other_cr over all r, c."""
+        if (self.rows, self.cols) != (other.cols, other.rows):
+            raise ShapeError(f"product trace needs a {self.cols}x{self.rows}"
+                             f" matrix, got {other.rows}x{other.cols}")
+        c = other.cols
+        return Fraction(sum(map(mul, self._e, chain.from_iterable(
+            other._e[r::c] for r in range(c)))), self._d * other._d)
+
     def augment(self, other):
         if not isinstance(other, RationalMatrix):
             raise TypeError("augment needs a RationalMatrix, got "

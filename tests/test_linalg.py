@@ -72,6 +72,20 @@ class TestIntegerKernel:
             b = random_rational_matrix(rng, q, r)
             assert mat_mul(a, b) == mat_mul_oracle(a, b)
 
+    def test_product_trace_matches_trace_of_oracle_product(self):
+        rng = random.Random(18)
+        for _ in range(150):
+            p, q = rng.randint(0, 5), rng.randint(0, 5)
+            a = random_rational_matrix(rng, p, q)
+            b = random_rational_matrix(rng, q, p)
+            got = a.product_trace(b)
+            assert type(got) is Fraction
+            assert got == mat_mul_oracle(a, b).trace()
+        with pytest.raises(ShapeError, match="^product trace needs a 3x2 "
+                                             "matrix, got 2x3$"):
+            RationalMatrix.zeros(2, 3).product_trace(
+                RationalMatrix.zeros(2, 3))
+
     def test_power_matches_repeated_oracle_product(self):
         rng = random.Random(19)
         for _ in range(60):

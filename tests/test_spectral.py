@@ -580,32 +580,42 @@ def _drop_last_pivot(when):
         if when(len(rows), len(chain)):
             return chain[:-1], columns[:-1], columns[-1]
         return chain, columns, dependent
-    return eliminate
+    return "_krylov", eliminate
+
+
+def _drop_last_row_pivot(m):
+    """A corrupted elimination of the chain as rows in _quotient, the one
+    caller of spectral._gauss_jordan: the real one, minus its last pivot."""
+    pivots, last = linalg._gauss_jordan(m)
+    return pivots[:-1], last
 
 
 DEROGATORY = block_diag([companion([-2, 0, 1])] * 2 + [companion([-1, 1])])
 
 
-@pytest.mark.parametrize("a, when, message", [
+@pytest.mark.parametrize("a, patch, message", [
     # Every chain: each annihilator has too low a degree to kill the next
     # trial vector, so the probe rejects every trial vector and the
     # search stops at its bound.
-    (DEROGATORY, lambda n, d: True, "no trial vector"),
+    (DEROGATORY, _drop_last_pivot(lambda n, d: True), "no trial vector"),
     # Only chains that stop short of n, i.e. those of the derogatory top
     # level: every trial vector there fails the probe.
-    (DEROGATORY, lambda n, d: d < n, "no trial vector"),
+    (DEROGATORY, _drop_last_pivot(lambda n, d: d < n), "no trial vector"),
     # Only chains that fill their space: the top level passes, and every
     # trial vector of the 2 x 2 quotient below it fails the probe.
-    (DEROGATORY, lambda n, d: d == n, "no trial vector"),
+    (DEROGATORY, _drop_last_pivot(lambda n, d: d == n), "no trial vector"),
     # The first chain cut at its second pivot, 9: the coordinates of B^2 v
     # on v and Bv in the triangular system are not integers, which no
     # integer matrix allows.
     (RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]]),
-     lambda n, d: True, "not integral"),
-], ids=["every", "rank_deficient", "full_rank", "inexact"])
-def test_corrupted_elimination_raises_promptly(monkeypatch, a, when,
+     _drop_last_pivot(lambda n, d: True), "not integral"),
+    # The chain is right and its annihilator passes the probe, but the
+    # elimination of its independent vectors as rows loses a pivot.
+    (DEROGATORY, ("_gauss_jordan", _drop_last_row_pivot), "do not span"),
+], ids=["every", "rank_deficient", "full_rank", "inexact", "quotient"])
+def test_corrupted_elimination_raises_promptly(monkeypatch, a, patch,
                                                message):
-    monkeypatch.setattr(spectral, "_krylov", _drop_last_pivot(when))
+    monkeypatch.setattr(spectral, *patch)
     start = time.perf_counter()
     with pytest.raises(InvariantError, match=message):
         invariant_factors(a)
