@@ -12,9 +12,8 @@ kernel, column echelon form and solve share one fraction-free (Bareiss)
 Gauss-Jordan elimination: every intermediate is an integer minor of the
 input, and the reduced echelon form is d times an integer matrix, which
 becomes the stored form with denominator d.  The cyclic decomposition
-behind ``spectral.invariant_factors`` calls the same elimination directly
-on the independent vectors of its integer Krylov chains, for the quotient
-map; the chains themselves are eliminated as they grow, in ``spectral``.
+behind ``spectral.invariant_factors`` eliminates its integer Krylov
+chains itself, once each, as they grow.
 Subspaces carry a canonical basis (the reduced column echelon form) built
 by one elimination, so equal subspaces compare equal entrywise.
 """

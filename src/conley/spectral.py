@@ -10,18 +10,17 @@ Similarity over the rationals is certified by invariant factors (the
 diagonal of the Smith normal form of tI - A over Q[t]), obtained from a
 cyclic decomposition: the minimal polynomial is the annihilator of a
 suitable vector, and the rest comes from the map induced on the quotient
-by that vector's cyclic subspace.  All of it runs on integer rows: the
-Krylov chain is eliminated fraction-free as it grows and stops at its
-first dependent vector, whose integer coordinates on the earlier ones
-give the monic annihilator, and one elimination of the chain's
-independent vectors as rows gives the quotient map as a Schur
-complement.  A module is generated by a trial vector and the
-lifts of its quotient's generators, so an annihilator is certified to be
-the minimal polynomial on the lifted trial vectors of the lower levels,
-not on every unit vector.  The block
-structure per irreducible factor of the characteristic polynomial is
-read off the same invariant factors, so the index and the block profile
-share one computation and never leave exact arithmetic.  Integer
+by that vector's cyclic subspace.  All of it runs on integer rows, and
+the Krylov chain is eliminated once, fraction-free, as it grows: it stops
+at its first dependent vector, whose integer coordinates on the earlier
+ones give the monic annihilator, and each column of the matrix reduced
+by the same steps gives a column of the quotient map.  A module is
+generated by a trial vector and the lifts of its quotient's generators,
+so an annihilator is certified to be the minimal polynomial on the
+lifted trial vectors of the lower levels, not on every unit vector.  The
+block structure per irreducible factor of the characteristic polynomial
+is read off the same invariant factors, so the index and the block
+profile share one computation and never leave exact arithmetic.  Integer
 eigenvalues come from p-adic lifting of the roots modulo a small prime,
 in time polynomial in the degree and the coefficients' bit length.
 """
@@ -33,8 +32,8 @@ from operator import mul
 
 from ._modular import is_prime
 from .errors import DomainError, InvariantError
-from .linalg import (RationalMatrix, Subspace, _columns, _gauss_jordan,
-                     column_space, kernel_basis, solve_columns)
+from .linalg import (RationalMatrix, Subspace, _columns, column_space,
+                     kernel_basis, solve_columns)
 from .poly import (T, IntPolynomial, exact_div, poly_gcd,
                    squarefree_decomposition)
 
@@ -153,73 +152,70 @@ def _probe(rows, q, x):
     return _kills(rows, q, _trial(len(rows), x + 1))
 
 
-def _quotient(denom, rows, chain):
-    """(units, D, rows'): the map induced by rows / denom on Q^n modulo the
-    span K of the d vectors in chain, on the classes of e_u, u in units, as
-    int rows' over a positive D in lowest terms.
-
-    Eliminating the d x n chain leaves l [I | (K_U K_R^-1)^T], l the last
-    pivot, R the pivot columns and U = units the others.  The class of x
-    is x_U - K_U K_R^-1 x_R, so B = rows induces the Schur complement
-    B_UU - K_U K_R^-1 B_RU = (l B_UU - E^T B_RU) / l, E the U columns.
-    """
-    pivots, last = _gauss_jordan(chain)
-    if len(pivots) != len(chain):
-        raise InvariantError("the independent Krylov vectors do not span")
-    units = [u for u in range(len(rows)) if u not in pivots]
-    across = [[rows[r][u] for r in pivots] for u in units]
-    quotient = RationalMatrix._from_scaled(
-        [[last * rows[u][k] - y for k, y in
-          zip(units, _apply(across, [row[u] for row in chain]))]
-         for u in units], len(units), last * denom)
-    return (units, *quotient._scaled_int_rows())
+def _reduce(columns, y):
+    """y, in pivot order, reduced in place against the chain's columns
+    (fraction-free Bareiss, forward only): step k turns each entry i > k
+    into (p y_i - f y_k) / prev, p the k-th pivot, prev the one before (1
+    for k = 0) and f the column's entry i.  Entry i is then the minor of
+    the pivot rows 0..k and row i on the first k + 1 vectors and y
+    (Sylvester's identity), so each division is exact."""
+    prev = 1
+    for k, col in enumerate(columns):
+        p, z = col[k], y[k]
+        if z:
+            y[k + 1:] = [(p * a - f * z) // prev
+                         for a, f in zip(y[k + 1:], col[k + 1:])]
+        elif p != prev:
+            y[k + 1:] = [p * a // prev for a in y[k + 1:]]
+        prev = p
+    return y
 
 
 def _krylov(rows, v):
-    """(chain, columns, dependent): the Krylov chain v, Bv, ..., B^(d-1) v
-    of B = rows up to its first dependent vector B^d v, each vector
-    eliminated against the earlier ones as it arrives (column-incremental
-    fraction-free Bareiss, forward only).
-
-    With its entries in pivot order, a new vector y meets step k of each
-    earlier column in turn: every entry below position k becomes (p y_i -
-    f y_k) / prev, p the k-th pivot, prev the one before (1 for k = 0) and
-    f the k-th column's entry i.  Entries are then minors of the Krylov
-    matrix (Sylvester's identity), so each division is exact.  The first
-    nonzero entry below the pivots becomes the next pivot (swapped to
-    position d); a vector with none is B^d v.  Column k of ``columns`` is
-    upper triangular with its pivot at position k; ``dependent`` is B^d v
-    eliminated, zero from position d on.
+    """(order, columns, dependent): the Krylov chain v, Bv, ..., B^(d-1) v
+    of B = rows, each vector put in pivot order (entry i is entry
+    order[i]) and reduced as it arrives, up to its first dependent vector
+    B^d v.  The first nonzero entry of a reduced vector below the pivots
+    becomes the next pivot (swapped to position d, in ``order`` and in
+    every column), so pivot k is the leading k + 1 square minor of the
+    chain on its rows in ``order``; ``dependent`` is B^d v reduced, zero
+    from position d on.
     """
     n = len(rows)
     order = list(range(n))
-    chain, columns = [], []
+    columns = []
     w = v
     while True:
-        y = [w[i] for i in order]
-        prev = 1
-        for k, col in enumerate(columns):
-            p, z = col[k], y[k]
-            if z:
-                y[k + 1:] = [(p * a - f * z) // prev
-                             for a, f in zip(y[k + 1:], col[k + 1:])]
-            elif p != prev:
-                y[k + 1:] = [p * a // prev for a in y[k + 1:]]
-            prev = p
-        d = len(chain)
+        y = _reduce(columns, [w[i] for i in order])
+        d = len(columns)
         for j in range(d, n):
             if y[j]:
                 break
         else:
-            return chain, columns, y
+            return order, columns, y
         if j != d:
             order[d], order[j] = order[j], order[d]
             for col in columns:
                 col[d], col[j] = col[j], col[d]
             y[d], y[j] = y[j], y[d]
-        chain.append(w)
         columns.append(y)
         w = _apply(rows, w)
+
+
+def _quotient(denom, rows, order, columns):
+    """(units, D, rows'): the map induced by B = rows / denom on Q^n modulo
+    the span of _krylov's chain K, on the classes of e_u, u in units =
+    order[d:], as int rows' over a positive D in lowest terms.  _reduce
+    turns x into l (x_i - K_i K_R^-1 x_R) at each i >= d, R = order[:d]
+    and l the last pivot: l times the class of x.  So column u of the
+    quotient map is B e_u reduced, from position d on, over l denom.
+    """
+    d = len(columns)
+    classes = [_reduce(columns, [rows[i][u] for i in order])[d:]
+               for u in order[d:]]
+    quotient = RationalMatrix._from_scaled(
+        list(zip(*classes)), len(classes), columns[-1][d - 1] * denom)
+    return (order[d:], *quotient._scaled_int_rows())
 
 
 def _annihilator(columns, dependent):
@@ -251,7 +247,8 @@ def _split_cyclic(denom, rows, start):
     if Z(v) is everything).  If q is the minimal polynomial, Z(v) has an
     invariant complement, so the quotient carries the other invariant
     factors.  Each chain stops at its first dependent vector, so a trial
-    whose annihilator has degree d forms d products with B, not n.
+    whose annihilator has degree d forms d products with B, not n, and
+    its one elimination serves q and the quotient alike.
 
     v misses the minimal polynomial mu only inside ker (mu / r)(B), r one
     of the at most n irreducible factors of mu; any n trial vectors are
@@ -259,12 +256,12 @@ def _split_cyclic(denom, rows, start):
     """
     n = len(rows)
     for x in range(start, n * (n - 1) + 2):
-        chain, columns, dependent = _krylov(rows, _trial(n, x))
+        order, columns, dependent = _krylov(rows, _trial(n, x))
         q = _annihilator(columns, dependent)
-        if len(chain) == n:
+        if len(columns) == n:
             return x, q, [], 1, []
         if _probe(rows, q, x):
-            return (x, q, *_quotient(denom, rows, chain))
+            return (x, q, *_quotient(denom, rows, order, columns))
     raise InvariantError("no trial vector reached the minimal polynomial")
 
 

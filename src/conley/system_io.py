@@ -70,6 +70,8 @@ def _parse_basic_set(obj, path):
     if not isinstance(name, str) or not name:
         raise ValidationError("name must be a nonempty string",
                               f"{path}/name")
+    if not name.isprintable():  # a newline would forge report lines
+        raise ValidationError("name must be printable text", f"{path}/name")
     index = _require_int(obj["index"], f"{path}/index")
     if index < 0:
         raise ValidationError("index must be nonnegative", f"{path}/index")

@@ -170,6 +170,26 @@ def rref_oracle(rows):
     return pivots
 
 
+def quotient_map_oracle(rows, denom, chain, units):
+    """The map induced by B = rows / denom on Q^n modulo the span K of the
+    independent vectors in chain, on the classes of e_u, u in units, as
+    the Schur complement B_UU - K_U K_R^-1 B_RU over Fractions, R the
+    other indices (the library reduces each B e_u against the chain's
+    fraction-free factor).  K_R^-1 B_RU is read off the RREF of
+    [K_R | B_RU]."""
+    d, n = len(chain), len(rows)
+    b = [[Fraction(x, denom) for x in row] for row in rows]
+    rest = [r for r in range(n) if r not in units]
+    assert len(rest) == d == n - len(units)
+    aug = [[Fraction(v[r]) for v in chain] + [b[r][u] for u in units]
+           for r in rest]
+    assert rref_oracle(aug) == list(range(d)), "K_R is singular"
+    return RationalMatrix(len(units), len(units), [
+        b[i][j] - sum((v[i] * aug[k][d + c] for k, v in enumerate(chain)),
+                      Fraction(0))
+        for i in units for c, j in enumerate(units)])
+
+
 def column_rref_oracle(m):
     """Reduced column echelon form of a RationalMatrix: the nonzero rows
     of the Fraction RREF of its transpose, transposed back."""
@@ -595,7 +615,7 @@ __all__ = [
     "invariant_factors_oracle", "is_prime_fermat", "is_prime_trial",
     "jordan_block", "kernel_oracle", "mat_mul_oracle", "poly_divmod_oracle",
     "poly_gcd_oracle", "primes_below_oracle", "pseudo_rem_oracle",
-    "quadratic_companion_block",
+    "quadratic_companion_block", "quotient_map_oracle",
     "random_int_matrix",
     "random_rational_matrix", "random_shift_graph", "random_unimodular",
     "reference_index_report", "reference_verify_report", "rref_oracle",

@@ -540,6 +540,14 @@ BAD_INPUTS = {
         '"matrix": [[' + "7" * 5000 + ']]}]}', None),
     "not-utf8": (b'{"basic_sets": [\xff]}', None),
     "deep-nesting": ("[" * 200_000, None),
+    # A newline forged report lines; a lone surrogate crashed text output.
+    "newline-name": (
+        '{"basic_sets": [{"name": "h\\n   pass  x: zeta_routes (ok)'
+        '\\n\\nall checks passed\\n", "index": 0, "matrix": [[1]]}]}',
+        "/basic_sets/0/name"),
+    "surrogate-name": (
+        '{"basic_sets": [{"name": "a\\ud800", "index": 0, '
+        '"matrix": [[1]]}]}', "/basic_sets/0/name"),
 }
 
 
@@ -570,6 +578,7 @@ class TestErrorHandling:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+        assert err[-1] == "\n" and err[:-1].isprintable()  # one clean line
         assert (pointer or str(path)) in err
 
     def test_long_integer_argument_is_abbreviated(self, capsys,

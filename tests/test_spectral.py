@@ -17,11 +17,12 @@ from conley.spectral import (KIND_COMPLEX, KIND_RATIONAL, KIND_UNRESOLVED,
                              invariant_factors, is_similar, jordan_profile,
                              nonnilpotent_part)
 
-from oracles import (block_diag, companion, conjugate,
+from oracles import (block_diag, companion, conjugate, det_oracle,
                      eventual_image_oracle, integer_roots_oracle,
                      invariant_factors_oracle, jordan_block, mat_mul_oracle,
-                     quadratic_companion_block, random_int_matrix,
-                     random_rational_matrix, random_unimodular, solve_oracle,
+                     quadratic_companion_block, quotient_map_oracle,
+                     random_int_matrix, random_rational_matrix,
+                     random_unimodular, rref_oracle, rref_rank, solve_oracle,
                      zero_column)
 
 HORSESHOE = RationalMatrix.from_rows([[1, -1], [1, -1]])
@@ -576,18 +577,11 @@ def _drop_last_pivot(when):
     krylov = spectral._krylov
 
     def eliminate(rows, v):
-        chain, columns, dependent = krylov(rows, v)
-        if when(len(rows), len(chain)):
-            return chain[:-1], columns[:-1], columns[-1]
-        return chain, columns, dependent
+        order, columns, dependent = krylov(rows, v)
+        if when(len(rows), len(columns)):
+            return order, columns[:-1], columns[-1]
+        return order, columns, dependent
     return "_krylov", eliminate
-
-
-def _drop_last_row_pivot(m):
-    """A corrupted elimination of the chain as rows in _quotient, the one
-    caller of spectral._gauss_jordan: the real one, minus its last pivot."""
-    pivots, last = linalg._gauss_jordan(m)
-    return pivots[:-1], last
 
 
 DEROGATORY = block_diag([companion([-2, 0, 1])] * 2 + [companion([-1, 1])])
@@ -609,10 +603,7 @@ DEROGATORY = block_diag([companion([-2, 0, 1])] * 2 + [companion([-1, 1])])
     # integer matrix allows.
     (RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]]),
      _drop_last_pivot(lambda n, d: True), "not integral"),
-    # The chain is right and its annihilator passes the probe, but the
-    # elimination of its independent vectors as rows loses a pivot.
-    (DEROGATORY, ("_gauss_jordan", _drop_last_row_pivot), "do not span"),
-], ids=["every", "rank_deficient", "full_rank", "inexact", "quotient"])
+], ids=["every", "rank_deficient", "full_rank", "inexact"])
 def test_corrupted_elimination_raises_promptly(monkeypatch, a, patch,
                                                message):
     monkeypatch.setattr(spectral, *patch)
@@ -639,43 +630,58 @@ def integer_matrices(draw):
     return conjugate(random_unimodular(rng, base.rows), base)
 
 
+def _krylov_vectors(rows, v, count):
+    """The first count vectors v, Bv, B^2 v, ... of B = rows."""
+    vectors = [v]
+    while len(vectors) < count:
+        vectors.append([sum(b * w for b, w in zip(row, vectors[-1]))
+                        for row in rows])
+    return vectors
+
+
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(integer_matrices(), st.integers(1, 4))
 def test_incremental_chain_matches_full_elimination(a, x):
     # The chain stops at the rank of the full n x (n + 1) Krylov matrix,
-    # and its monic annihilator is that elimination's q (last times the
-    # monic one) divided by its last entry.
+    # pivot k is the leading minor of the first k + 1 vectors on the pivot
+    # rows, and the monic annihilator holds the coordinates of B^d v on
+    # the earlier vectors, read off that matrix's Fraction RREF.
     denom, rows = a._scaled_int_rows()
     assert denom == 1
     n = len(rows)
-    vectors = [spectral._trial(n, x)]
-    for _ in range(n):
-        vectors.append([sum(b * w for b, w in zip(row, vectors[-1]))
-                        for row in rows])
-    krylov = [list(col) for col in zip(*vectors)]
-    pivots, last = linalg._gauss_jordan(krylov)
-    d = len(pivots)
-    assert pivots == list(range(d))
-    full_q = [-krylov[k][d] for k in range(d)] + [last]
-    chain, columns, dependent = spectral._krylov(rows, vectors[0])
-    assert chain == vectors[:d]
+    vectors = _krylov_vectors(rows, spectral._trial(n, x), n + 1)
+    krylov = [[Fraction(y) for y in col] for col in zip(*vectors)]
+    d = rref_rank(krylov)
+    assert rref_oracle(krylov) == list(range(d))
+    order, columns, dependent = spectral._krylov(rows, vectors[0])
+    assert len(columns) == d
+    assert sorted(order) == list(range(n))
+    for k in range(d):
+        assert columns[k][k] == det_oracle(
+            [[vectors[j][i] for j in range(k + 1)] for i in order[:k + 1]])
     assert spectral._annihilator(columns, dependent) == \
-        [Fraction(c, last) for c in full_q]
+        [-krylov[k][d] for k in range(d)] + [1]
 
 
 @pytest.mark.parametrize("n", [12, 40])
 def test_krylov_chains_stop_at_their_first_dependency(monkeypatch, n):
     # 2 I_n splits into n levels, each chain v, Bv = 2v: one product per
     # level, where a chain of all n_j + 1 vectors formed n (n + 1) / 2
-    # (78 on 2 I_12, 820 on 2 I_40).  _quotient's Schur-complement
-    # products, one per unit vector, are counted apart.
+    # (78 on 2 I_12, 820 on 2 I_40).  _quotient reduces one column per
+    # unit vector against the chain's factor, n (n - 1) / 2 in all.
     counts = {"krylov": 0, "quotient": 0}
     in_quotient = []
-    apply, quotient = spectral._apply, spectral._quotient
+    apply, reduce, quotient = (spectral._apply, spectral._reduce,
+                               spectral._quotient)
 
     def counted_apply(rows, w):
-        counts["quotient" if in_quotient else "krylov"] += 1
+        counts["krylov"] += 1
         return apply(rows, w)
+
+    def counted_reduce(columns, y):
+        if in_quotient:
+            counts["quotient"] += 1
+        return reduce(columns, y)
 
     def counted_quotient(*args):
         in_quotient.append(True)
@@ -685,6 +691,7 @@ def test_krylov_chains_stop_at_their_first_dependency(monkeypatch, n):
             in_quotient.pop()
 
     monkeypatch.setattr(spectral, "_apply", counted_apply)
+    monkeypatch.setattr(spectral, "_reduce", counted_reduce)
     monkeypatch.setattr(spectral, "_quotient", counted_quotient)
     a = RationalMatrix.from_rows(
         [[2 * (i == j) for j in range(n)] for i in range(n)])
@@ -762,6 +769,32 @@ def test_quotient_maps_come_back_in_lowest_terms(case):
     for denom, rows in quotients:
         again = RationalMatrix._from_scaled(rows, len(rows), denom)
         assert again._scaled_int_rows() == (denom, rows)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.one_of(integer_matrices(),
+                 rational_derogatory().map(lambda case: case[0])))
+def test_quotient_maps_match_the_oracle(a):
+    # Every split's quotient map, read off the chain's own factor, is the
+    # Schur complement B_UU - K_U K_R^-1 B_RU over Fractions, K the
+    # chain's independent vectors, stored as (D, rows') in lowest terms.
+    split = spectral._split_cyclic
+    compared = []
+
+    def checked(denom, rows, start):
+        x, q, units, *quotient = out = split(denom, rows, start)
+        if units:
+            chain = _krylov_vectors(rows, spectral._trial(len(rows), x),
+                                    len(q) - 1)
+            want = quotient_map_oracle(rows, denom, chain, units)
+            assert tuple(quotient) == want._scaled_int_rows()
+            compared.append(units)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_split_cyclic", checked)
+        got = invariant_factors(a)
+    assert len(compared) == len(got) - 1
 
 
 def _count_splits(patch):

@@ -100,6 +100,20 @@ def test_library_imports_only_the_standard_library():
     assert outside == {}
 
 
+def test_only_linalg_names_the_gauss_jordan_elimination():
+    # spectral reads each quotient map off the Krylov chain's own factor;
+    # a module that names linalg._gauss_jordan would eliminate it again.
+    package = (pathlib.Path(__file__).resolve().parent.parent
+               / "src" / "conley")
+    naming = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if any(getattr(node, field, None) == "_gauss_jordan"
+                   for field in ("id", "attr", "name")):
+                naming.add(path.name)
+    assert naming == {"linalg.py"}
+
+
 PUBLIC_API = [
     "BasicSetSpec", "ConleyError", "ConleyIndex", "DomainError",
     "EigenClass", "IndexEntry", "InducedMap", "IntPolynomial",
