@@ -8,6 +8,12 @@ Morse index u.  The index automorphism in degree u is the nonnilpotent
 part of A; every other degree is trivial.  The zeta function needs only
 det(I - A t) because the nilpotent part contributes the factor 1.
 
+The spec dataclasses (VertexShiftSpec, BasicSetSpec, SystemSpec) own every
+check on the values of their input, for library callers and system files
+alike.  Each raises a ValidationError at the first problem, located by a
+JSON pointer into the document form that system_io.system_to_dict writes
+for that object (``/index`` of a basic set, ``/orientation/1`` of a shift).
+
 A report computes A+, the one fact about a basic set that several of its
 checks read, once, through one BasicSetAnalysis per set and call.  The two
 zeta routes start from different facts, det(I - A t) and det(I - A+ t).
@@ -21,10 +27,20 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from .errors import DomainError, InvariantError, ResourceError, \
-    ValidationError, _shown
+    ValidationError, _decimal, _shown
 from .linalg import RationalMatrix, char_reversed, char_reversed_rational
 from .poly import RationalFunction
 from .spectral import invariant_factors, nonnilpotent_part
+
+
+def _check_entries(values, allowed, rule, path):
+    """Raise at the first of ``values`` that is not an int in ``allowed``,
+    located at its position under ``path``."""
+    for k, v in enumerate(values):
+        if type(v) is not int:
+            raise ValidationError("expected an integer", f"{path}/{k}")
+        if v not in allowed:
+            raise ValidationError(f"entry {_shown(v)} {rule}", f"{path}/{k}")
 
 
 @dataclass(frozen=True)
@@ -36,29 +52,22 @@ class VertexShiftSpec:
     orientation: tuple
 
     def __post_init__(self):
-        problems = []
-        if len(self.adjacency) != self.n:
-            problems.append(f"adjacency has {len(self.adjacency)} rows, "
-                            f"expected {_shown(self.n)}")
+        n = self.n
+        if len(self.adjacency) != n:
+            raise ValidationError(f"adjacency has {len(self.adjacency)} "
+                                  f"rows, expected {_shown(n)}", "/adjacency")
         for i, row in enumerate(self.adjacency):
-            if len(row) != self.n:
-                problems.append(f"adjacency[{i}] has {len(row)} entries, "
-                                f"expected {_shown(self.n)}")
-                continue
-            for j, v in enumerate(row):
-                if type(v) is not int or v not in (0, 1):
-                    problems.append(f"adjacency[{i}][{j}] = {_shown(v)} "
-                                    "is not 0 or 1")
-        if len(self.orientation) != self.n:
-            problems.append(f"orientation has {len(self.orientation)} "
-                            f"entries, expected {_shown(self.n)}")
-        else:
-            for k, s in enumerate(self.orientation):
-                if type(s) is not int or s not in (1, -1):
-                    problems.append(f"orientation[{k}] = {_shown(s)} "
-                                    "is not +1 or -1")
-        if problems:
-            raise ValidationError("; ".join(problems))
+            if len(row) != n:
+                raise ValidationError(f"row has {len(row)} entries, "
+                                      f"expected {_shown(n)}",
+                                      f"/adjacency/{i}")
+            _check_entries(row, (0, 1), "not in [0, 1]", f"/adjacency/{i}")
+        if len(self.orientation) != n:
+            raise ValidationError(f"orientation has {len(self.orientation)} "
+                                  f"entries, expected {_shown(n)}",
+                                  "/orientation")
+        _check_entries(self.orientation, (1, -1), "must be 1 or -1",
+                       "/orientation")
 
     @classmethod
     def from_lists(cls, adjacency, orientation):
@@ -192,9 +201,13 @@ class BasicSetSpec:
     shift: VertexShiftSpec | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:
+            raise ValidationError("name must be a nonempty string", "/name")
+        if not self.name.isprintable():  # a newline would forge report lines
+            raise ValidationError("name must be printable text", "/name")
         if self.index_u < 0:
-            raise ValidationError(f"basic set {self.name!r}: index "
-                                  f"{_shown(self.index_u)} is negative")
+            raise ValidationError(f"index {_shown(self.index_u)} must be "
+                                  "nonnegative", "/index")
 
 
 @dataclass(frozen=True)
@@ -353,10 +366,12 @@ def lefschetz_series(basic, ambient_dim, m):
 class SystemSpec:
     """A family of named basic sets with optional ambient homology data.
 
-    ``ambient_maps`` are trusted input: the integer matrices of the map
-    induced on ambient homology in each degree.  ``split_at`` is a user
-    assertion (not verified here) that the splitting hypothesis of the
-    Morse inequality holds at that degree.
+    Names must be unique, and with an ambient dimension every index, map
+    degree and ``split_at`` must lie in 0..dim.  ``ambient_maps`` are
+    trusted input: the integer matrices of the map induced on ambient
+    homology in each degree.  ``split_at`` is a user assertion (not
+    verified here) that the splitting hypothesis of the Morse inequality
+    holds at that degree.
     """
 
     basic_sets: tuple
@@ -366,28 +381,35 @@ class SystemSpec:
 
     def __post_init__(self):
         self.basic_sets = tuple(self.basic_sets)
-        names = [b.name for b in self.basic_sets]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValidationError(f"duplicate basic set names: {dupes}")
-        if self.ambient_dim is not None:
-            if self.ambient_dim < 0:
-                raise ValidationError("ambient dimension is negative")
-            for b in self.basic_sets:
-                _check_index_bound(b, self.ambient_dim)
-            for k in self.ambient_maps:
-                if not 0 <= k <= self.ambient_dim:
-                    raise ValidationError(
-                        f"homology map degree {_shown(k)} outside 0.."
-                        f"{_shown(self.ambient_dim)}")
-            if self.split_at is not None and not \
-                    0 <= self.split_at <= self.ambient_dim:
+        seen = set()
+        for i, b in enumerate(self.basic_sets):
+            if b.name in seen:
+                raise ValidationError(f"duplicate name {b.name!r}",
+                                      f"/basic_sets/{i}/name")
+            seen.add(b.name)
+        dim = self.ambient_dim
+        if dim is None:
+            if self.ambient_maps:
+                raise ValidationError("homology maps given without an "
+                                      "ambient dimension", "/ambient")
+            return
+        if dim < 0:
+            raise ValidationError("dim must be nonnegative", "/ambient/dim")
+        for k in self.ambient_maps:
+            if not 0 <= k <= dim:
+                problem = "must be nonnegative" if k < 0 else \
+                    f"exceeds dim {_shown(dim)}"
                 raise ValidationError(
-                    f"split_at {_shown(self.split_at)} outside 0.."
-                    f"{_shown(self.ambient_dim)}")
-        elif self.ambient_maps:
-            raise ValidationError("homology maps given without an ambient "
-                                  "dimension")
+                    f"degree {_shown(k)} {problem}",
+                    f"/ambient/homology_maps/{_decimal(k)}")
+        if self.split_at is not None and not 0 <= self.split_at <= dim:
+            raise ValidationError(f"split_at {_shown(self.split_at)} outside "
+                                  f"0..{_shown(dim)}", "/ambient/split_at")
+        for i, b in enumerate(self.basic_sets):
+            if b.index_u > dim:
+                raise ValidationError(f"index {_shown(b.index_u)} exceeds "
+                                      f"ambient dim {_shown(dim)}",
+                                      f"/basic_sets/{i}/index")
 
     def sorted_sets(self):
         return sorted(self.basic_sets, key=lambda b: b.name)

@@ -45,6 +45,7 @@ class ValidationError(ConleyError):
 
     def __init__(self, message, location=None):
         self.location = location
+        self._message = message         # unlocated, for relocating
         if location is not None:
             message = f"{location}: {message}"
         super().__init__(message)

@@ -6,12 +6,18 @@ row j / column k oriented so that column k carries the orientation sign of
 symbol k) or ``graph`` (0/1 ``adjacency`` plus ``orientation`` signs), and
 an optional ``ambient`` object with the manifold dimension, integer
 homology maps per degree and a user-asserted ``split_at`` degree.
-Validation errors carry a JSON-pointer-style location.
+
+This module checks only the document's JSON shape: types, keys, square
+integer matrices, homology-key syntax and repeats, and matrix-xor-graph.
+Every check on the values (signs, ranges, names) belongs to the spec
+dataclasses in ``dynamics``; their errors are relocated under the basic
+set's pointer here, so every error names a JSON pointer into the file.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .dynamics import (BasicSetSpec, StructureMatrix, SystemSpec,
                        VertexShiftSpec, build_structure_matrix)
@@ -37,7 +43,7 @@ def _require_int(value, path):
     return value
 
 
-def _require_int_matrix(value, path, entries=None):
+def _require_int_matrix(value, path):
     if not isinstance(value, list):
         raise ValidationError("expected an array of arrays", path)
     n = len(value)
@@ -50,72 +56,57 @@ def _require_int_matrix(value, path, entries=None):
                 f"row has {len(row)} entries, expected {n} (matrix must "
                 "be square)", f"{path}/{i}")
         # Locations are formatted only on the way to an error: a row of
-        # plain ints within ``entries`` passes without a per-entry string.
-        if any(type(x) is not int for x in row) or \
-                entries is not None and not entries.issuperset(row):
+        # plain ints passes without a per-entry string.
+        if any(type(x) is not int for x in row):
             for j, x in enumerate(row):
-                x = _require_int(x, f"{path}/{i}/{j}")
-                if entries is not None and x not in entries:
-                    raise ValidationError(
-                        f"entry {_shown(x)} not in {sorted(entries)}",
-                        f"{path}/{i}/{j}")
+                _require_int(x, f"{path}/{i}/{j}")
         rows.append(list(row))
     return rows
+
+
+@contextmanager
+def _within(path):
+    """Relocate a ValidationError that a spec raises, located in the spec's
+    own document form, to ``path`` in the file."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(exc._message, path + exc.location) from None
 
 
 def _parse_basic_set(obj, path):
     _require_object(obj, path, required=("name", "index"),
                     optional=("matrix", "graph"))
-    name = obj["name"]
-    if not isinstance(name, str) or not name:
-        raise ValidationError("name must be a nonempty string",
-                              f"{path}/name")
-    if not name.isprintable():  # a newline would forge report lines
-        raise ValidationError("name must be printable text", f"{path}/name")
     index = _require_int(obj["index"], f"{path}/index")
-    if index < 0:
-        raise ValidationError("index must be nonnegative", f"{path}/index")
-    has_matrix = "matrix" in obj
-    has_graph = "graph" in obj
-    if has_matrix == has_graph:
+    if ("matrix" in obj) == ("graph" in obj):
         raise ValidationError(
             "exactly one of 'matrix' and 'graph' is required", path)
-    if has_matrix:
+    if "matrix" in obj:
         rows = _require_int_matrix(obj["matrix"], f"{path}/matrix")
         structure = StructureMatrix(RationalMatrix.from_rows(rows), raw=True)
         shift = None
     else:
         gpath = f"{path}/graph"
-        _require_object(obj["graph"], gpath,
-                        required=("adjacency", "orientation"))
-        adjacency = _require_int_matrix(obj["graph"]["adjacency"],
-                                        f"{gpath}/adjacency",
-                                        entries={0, 1})
-        orientation = obj["graph"]["orientation"]
-        if not isinstance(orientation, list):
+        graph = obj["graph"]
+        _require_object(graph, gpath, required=("adjacency", "orientation"))
+        adjacency = _require_int_matrix(graph["adjacency"],
+                                        f"{gpath}/adjacency")
+        if not isinstance(graph["orientation"], list):
             raise ValidationError("expected an array",
                                   f"{gpath}/orientation")
-        if len(orientation) != len(adjacency):
-            raise ValidationError(
-                f"orientation has {len(orientation)} entries, expected "
-                f"{len(adjacency)}", f"{gpath}/orientation")
-        for k, s in enumerate(orientation):
-            s = _require_int(s, f"{gpath}/orientation/{k}")
-            if s not in (1, -1):
-                raise ValidationError("entry must be 1 or -1",
-                                      f"{gpath}/orientation/{k}")
-        shift = VertexShiftSpec.from_lists(adjacency, orientation)
+        with _within(gpath):
+            shift = VertexShiftSpec.from_lists(adjacency,
+                                               graph["orientation"])
         structure = build_structure_matrix(shift)
-    return BasicSetSpec(name=name, structure=structure, index_u=index,
-                        shift=shift)
+    with _within(path):
+        return BasicSetSpec(name=obj["name"], structure=structure,
+                            index_u=index, shift=shift)
 
 
 def _parse_ambient(obj, path):
     _require_object(obj, path, required=("dim",),
                     optional=("homology_maps", "split_at"))
     dim = _require_int(obj["dim"], f"{path}/dim")
-    if dim < 0:
-        raise ValidationError("dim must be nonnegative", f"{path}/dim")
     maps = {}
     raw_maps = obj.get("homology_maps", {})
     mpath = f"{path}/homology_maps"
@@ -130,10 +121,6 @@ def _parse_ambient(obj, path):
         except ValueError as exc:
             raise ValidationError("degree key has too many digits",
                                   f"{mpath}/{key}") from exc
-        if degree > dim:
-            raise ValidationError(f"degree {_shown(degree)} exceeds dim "
-                                  f"{_shown(dim)}",
-                                  f"{mpath}/{key}")
         if degree in maps:
             raise ValidationError(f"degree {_shown(degree)} given twice",
                                   f"{mpath}/{key}")
@@ -142,39 +129,23 @@ def _parse_ambient(obj, path):
     split_at = None
     if "split_at" in obj:
         split_at = _require_int(obj["split_at"], f"{path}/split_at")
-        if not 0 <= split_at <= dim:
-            raise ValidationError(f"split_at {_shown(split_at)} outside "
-                                  f"0..{_shown(dim)}",
-                                  f"{path}/split_at")
     return dim, maps, split_at
 
 
 def system_from_dict(doc):
-    """Validate a decoded system document and build the SystemSpec."""
+    """Check a decoded system document's JSON shape and build the
+    SystemSpec, whose constructors check the values."""
     _require_object(doc, "", required=("basic_sets",), optional=("ambient",))
     raw_sets = doc["basic_sets"]
     if not isinstance(raw_sets, list):
         raise ValidationError("expected an array", "/basic_sets")
-    sets = []
-    seen = set()
-    for i, obj in enumerate(raw_sets):
-        basic = _parse_basic_set(obj, f"/basic_sets/{i}")
-        if basic.name in seen:
-            raise ValidationError(f"duplicate name {basic.name!r}",
-                                  f"/basic_sets/{i}/name")
-        seen.add(basic.name)
-        sets.append(basic)
+    sets = tuple(_parse_basic_set(obj, f"/basic_sets/{i}")
+                 for i, obj in enumerate(raw_sets))
     dim, maps, split_at = None, {}, None
     if "ambient" in doc:
         dim, maps, split_at = _parse_ambient(doc["ambient"], "/ambient")
-        for i, basic in enumerate(sets):
-            if basic.index_u > dim:
-                raise ValidationError(
-                    f"index {_shown(basic.index_u)} exceeds ambient dim "
-                    f"{_shown(dim)}",
-                    f"/basic_sets/{i}/index")
-    return SystemSpec(basic_sets=tuple(sets), ambient_dim=dim,
-                      ambient_maps=maps, split_at=split_at)
+    return SystemSpec(basic_sets=sets, ambient_dim=dim, ambient_maps=maps,
+                      split_at=split_at)
 
 
 def parse_system(path):

@@ -77,21 +77,25 @@ class TestStructureMatrix:
             FOURHANDLE.structure.matrix
 
     def test_malformed_shift_lists_entries(self):
-        with pytest.raises(ValidationError) as err:
-            VertexShiftSpec(n=2, adjacency=((0, 2), (0, 0)),
-                            orientation=(1, 5))
-        message = str(err.value)
-        assert "adjacency[0][1]" in message
-        assert "orientation[1]" in message
+        # The first bad entry is reported, located in the graph's document
+        # form: adjacency before orientation, row by row.
+        for adjacency, orientation, shown in (
+                (((0, 2), (0, 0)), (1, 5),
+                 "/adjacency/0/1: entry 2 not in [0, 1]"),
+                (((0, 1), (0, 0)), (1, 5),
+                 "/orientation/1: entry 5 must be 1 or -1")):
+            with pytest.raises(ValidationError) as err:
+                VertexShiftSpec(2, adjacency, orientation)
+            assert str(err.value) == shown
         # entries equal to 0, 1 or -1 that are not ints are refused too
         for adjacency, orientation, where in (
-                (((1.0,),), (1,), "adjacency[0][0] = 1.0"),
-                (((True,),), (1,), "adjacency[0][0] = True"),
-                (((Fraction(1),),), (1,),
-                 "adjacency[0][0] = Fraction(1, 1)"),
-                (((1,),), (True,), "orientation[0] = True")):
-            with pytest.raises(ValidationError, match=re.escape(where)):
+                (((1.0,),), (1,), "/adjacency/0/0"),
+                (((True,),), (1,), "/adjacency/0/0"),
+                (((Fraction(1),),), (1,), "/adjacency/0/0"),
+                (((1,),), (True,), "/orientation/0")):
+            with pytest.raises(ValidationError) as err:
                 VertexShiftSpec(1, adjacency, orientation)
+            assert str(err.value) == f"{where}: expected an integer"
 
     def test_non_integer_matrix_rejected(self):
         with pytest.raises(ValidationError):
@@ -416,6 +420,19 @@ class TestSystemSpec:
     def test_duplicate_names(self):
         with pytest.raises(ValidationError):
             SystemSpec(basic_sets=(TORUS_P, basic("p", [[1]], 0)))
+
+    def test_duplicate_names_in_one_pass(self):
+        # One repeat among 100,000 names: a count per name would be
+        # quadratic, one pass over a set of the names seen is not.
+        one = StructureMatrix.from_rows([[1]])
+        sets = [BasicSetSpec(f"s{i}", one, 0) for i in range(99_999)]
+        sets.append(BasicSetSpec("s7", one, 0))
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as err:
+            SystemSpec(basic_sets=sets)
+        assert time.perf_counter() - start < 1
+        assert str(err.value) == \
+            "/basic_sets/99999/name: duplicate name 's7'"
 
     def test_map_degree_out_of_range(self):
         with pytest.raises(ValidationError):

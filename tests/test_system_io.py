@@ -3,7 +3,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conley.dynamics import SystemSpec
+from conley.dynamics import (BasicSetSpec, StructureMatrix, SystemSpec,
+                             VertexShiftSpec)
 from conley.errors import ValidationError
 from conley.linalg import RationalMatrix
 from conley.system_io import parse_system, system_from_dict, system_to_dict
@@ -167,6 +168,96 @@ def test_huge_integers_in_messages_are_abbreviated(doc, location, shown):
     assert str(err.value) == f"{location}: {shown}"
 
 
+def _one_set(**fields):
+    entry = {"name": "s", "index": 0, "matrix": [[1]]}
+    entry.update(fields)
+    return {"basic_sets": [entry]}
+
+
+def _graph_set(adjacency, orientation):
+    return {"basic_sets": [{"name": "s", "index": 0, "graph": {
+        "adjacency": adjacency, "orientation": orientation}}]}
+
+
+def _ambient(**fields):
+    return {"basic_sets": [], "ambient": {"dim": 2, **fields}}
+
+
+def _basic(name="s", index=0):
+    return BasicSetSpec(name, StructureMatrix.from_rows([[1]]), index)
+
+
+FORGED = "x\n   forged line"     # would forge a line of a text report
+
+# Every check on a value of the input, each raised twice: by a document,
+# at its pointer into the file, and by the library constructor, at its
+# pointer into the system_to_dict form of the object it builds.
+VIOLATIONS = {
+    "negative-index": (_one_set(index=-1), "/basic_sets/0/index",
+                       lambda: _basic(index=-1), "/index"),
+    "name-not-text": (_one_set(name=3), "/basic_sets/0/name",
+                      lambda: _basic(3), "/name"),
+    "empty-name": (_one_set(name=""), "/basic_sets/0/name",
+                   lambda: _basic(""), "/name"),
+    "newline-name": (_one_set(name=FORGED), "/basic_sets/0/name",
+                     lambda: _basic(FORGED), "/name"),
+    "surrogate-name": (_one_set(name="a\ud800"), "/basic_sets/0/name",
+                       lambda: _basic("a\ud800"), "/name"),
+    "adjacency-entry": (_graph_set([[1, 2], [0, 0]], [1, 1]),
+                        "/basic_sets/0/graph/adjacency/0/1",
+                        lambda: VertexShiftSpec.from_lists(
+                            [[1, 2], [0, 0]], [1, 1]), "/adjacency/0/1"),
+    "orientation-sign": (_graph_set([[1, 1], [1, 1]], [1, 0]),
+                         "/basic_sets/0/graph/orientation/1",
+                         lambda: VertexShiftSpec.from_lists(
+                             [[1, 1], [1, 1]], [1, 0]), "/orientation/1"),
+    "orientation-type": (_graph_set([[1]], ["x"]),
+                         "/basic_sets/0/graph/orientation/0",
+                         lambda: VertexShiftSpec.from_lists([[1]], ["x"]),
+                         "/orientation/0"),
+    "orientation-length": (_graph_set([[1]], [1, 1]),
+                           "/basic_sets/0/graph/orientation",
+                           lambda: VertexShiftSpec.from_lists([[1]], [1, 1]),
+                           "/orientation"),
+    "duplicate-name": ({"basic_sets": _one_set()["basic_sets"] * 2},
+                       "/basic_sets/1/name",
+                       lambda: SystemSpec((_basic(), _basic())),
+                       "/basic_sets/1/name"),
+    "index-above-dim": (dict(_one_set(index=3), ambient={"dim": 2}),
+                        "/basic_sets/0/index",
+                        lambda: SystemSpec((_basic(index=3),), 2),
+                        "/basic_sets/0/index"),
+    "negative-dim": ({"basic_sets": [], "ambient": {"dim": -1}},
+                     "/ambient/dim", lambda: SystemSpec((), -1),
+                     "/ambient/dim"),
+    "degree-above-dim": (_ambient(homology_maps={"3": [[1]]}),
+                         "/ambient/homology_maps/3",
+                         lambda: SystemSpec(
+                             (), 2, {3: RationalMatrix.from_rows([[1]])}),
+                         "/ambient/homology_maps/3"),
+    "split-above-dim": (_ambient(split_at=3), "/ambient/split_at",
+                        lambda: SystemSpec((), 2, split_at=3),
+                        "/ambient/split_at"),
+    "negative-split": (_ambient(split_at=-1), "/ambient/split_at",
+                       lambda: SystemSpec((), 2, split_at=-1),
+                       "/ambient/split_at"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VIOLATIONS))
+def test_file_and_library_raise_one_located_message(case):
+    doc, pointer, build, own_pointer = VIOLATIONS[case]
+    with pytest.raises(ValidationError) as from_file:
+        system_from_dict(doc)
+    with pytest.raises(ValidationError) as from_library:
+        build()
+    assert from_file.value.location == pointer
+    assert from_library.value.location == own_pointer
+    message = str(from_file.value).removeprefix(f"{pointer}: ")
+    assert str(from_library.value) == f"{own_pointer}: {message}"
+    assert message.isprintable()
+
+
 def test_zero_by_zero_matrix_is_legal():
     system = system_from_dict(
         {"basic_sets": [{"name": "void", "index": 0, "matrix": []}]})
@@ -209,8 +300,25 @@ _SHAPED = st.fixed_dictionaries(
                   "split_at": _JSON})})
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(_JSON | _SHAPED)
+# Graph-shaped sets, so the shift's and the set's own checks meet raw JSON
+# values: rows of mixed scalars, orientation lists of scalars, and names of
+# any text, control characters and lone surrogates included.
+_GRAPH_SET = st.fixed_dictionaries({
+    "name": st.text(st.characters(exclude_categories=()), max_size=4),
+    "index": st.integers(-1, 3),
+    "graph": st.integers(0, 3).flatmap(lambda n: st.fixed_dictionaries({
+        "adjacency": st.lists(st.lists(st.integers(0, 1) | st.integers()
+                                       | _SCALARS, min_size=n, max_size=n),
+                              min_size=n, max_size=n),
+        "orientation": st.lists(st.sampled_from([1, -1]) | _SCALARS,
+                                min_size=n, max_size=n)
+        | st.lists(_SCALARS, max_size=4)}))})
+_GRAPHS = st.fixed_dictionaries({"basic_sets": st.lists(_GRAPH_SET,
+                                                        max_size=2)})
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_JSON | _SHAPED | _GRAPHS)
 def test_any_json_value_is_a_system_or_a_validation_error(doc):
     try:
         system = system_from_dict(doc)
