@@ -205,8 +205,11 @@ class BasicSetSpec:
             raise ValidationError("name must be a nonempty string", "/name")
         if not self.name.isprintable():  # a newline would forge report lines
             raise ValidationError("name must be printable text", "/name")
-        if self.index_u < 0:
-            raise ValidationError(f"index {_shown(self.index_u)} must be "
+        index = self.index_u
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise ValidationError("expected an integer", "/index")
+        if index < 0:
+            raise ValidationError(f"index {_shown(index)} must be "
                                   "nonnegative", "/index")
 
 
@@ -392,6 +395,9 @@ class SystemSpec:
             if self.ambient_maps:
                 raise ValidationError("homology maps given without an "
                                       "ambient dimension", "/ambient")
+            if self.split_at is not None:
+                raise ValidationError("split_at given without an ambient "
+                                      "dimension", "/ambient")
             return
         if dim < 0:
             raise ValidationError("dim must be nonnegative", "/ambient/dim")

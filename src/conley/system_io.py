@@ -113,17 +113,19 @@ def _parse_ambient(obj, path):
     if not isinstance(raw_maps, dict):
         raise ValidationError("expected an object keyed by degree", mpath)
     for key, value in raw_maps.items():
+        # A rejected key is located at its object, and shown if printable.
         if not (key.isascii() and key.isdigit()):
-            raise ValidationError(f"degree key {key!r} is not a "
-                                  "nonnegative integer", f"{mpath}/{key}")
+            shown = f" {key!r}" if key.isprintable() else ""
+            raise ValidationError(f"degree key{shown} is not a "
+                                  "nonnegative integer", mpath)
         try:
             degree = int(key)
         except ValueError as exc:
             raise ValidationError("degree key has too many digits",
-                                  f"{mpath}/{key}") from exc
+                                  mpath) from exc
         if degree in maps:
             raise ValidationError(f"degree {_shown(degree)} given twice",
-                                  f"{mpath}/{key}")
+                                  mpath)
         rows = _require_int_matrix(value, f"{mpath}/{key}")
         maps[degree] = RationalMatrix.from_rows(rows)
     split_at = None

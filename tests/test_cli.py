@@ -530,11 +530,17 @@ class TestVerifyCommand:
 BAD_INPUTS = {
     "superscript-key": (
         '{"basic_sets": [], "ambient": {"dim": 2, '
-        '"homology_maps": {"\u00b2": [[1]]}}}', "/ambient/homology_maps/"),
+        '"homology_maps": {"\u00b2": [[1]]}}}', "/ambient/homology_maps: "),
     "long-key": (
         '{"basic_sets": [], "ambient": {"dim": 2, '
         '"homology_maps": {"' + "9" * 5000 + '": [[1]]}}}',
-        "/ambient/homology_maps/"),
+        "/ambient/homology_maps: "),
+    # A rejected key is located at its object, so a newline in it cannot
+    # split the error line.
+    "newline-key": (
+        '{"basic_sets": [], "ambient": {"dim": 2, '
+        '"homology_maps": {"1\\n   pass  forged": [[1]]}}}',
+        "/ambient/homology_maps: "),
     "long-entry": (
         '{"basic_sets": [{"name": "s", "index": 0, '
         '"matrix": [[' + "7" * 5000 + ']]}]}', None),

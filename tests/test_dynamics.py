@@ -434,6 +434,20 @@ class TestSystemSpec:
         assert str(err.value) == \
             "/basic_sets/99999/name: duplicate name 's7'"
 
+    @pytest.mark.parametrize("index", [1.5, True, "1", None])
+    def test_index_must_be_an_int(self, index):
+        # Only a library caller can hand these in; the file parser refuses
+        # them as JSON.  1.5 once printed "Conley index: degree 1.5".
+        with pytest.raises(ValidationError) as err:
+            BasicSetSpec("s", StructureMatrix.from_rows([[2]]), index)
+        assert str(err.value) == "/index: expected an integer"
+
+    def test_split_at_needs_an_ambient_dimension(self):
+        with pytest.raises(ValidationError) as err:
+            SystemSpec(basic_sets=(), split_at=7)
+        assert str(err.value) == \
+            "/ambient: split_at given without an ambient dimension"
+
     def test_map_degree_out_of_range(self):
         with pytest.raises(ValidationError):
             SystemSpec(basic_sets=(TORUS_P,), ambient_dim=1,

@@ -5,7 +5,7 @@ import threading
 import time
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,10 +18,10 @@ from conley.linalg import (RationalMatrix, Subspace, char_reversed,
                            kernel_basis, mat_mul, rank, solve_columns)
 from conley.poly import IntPolynomial
 
-from oracles import (block_diag, char_reversed_oracle, charpoly_cofactor,
-                     charpoly_oracle, column_rref_oracle, conjugate,
-                     is_prime_trial, kernel_oracle, mat_mul_oracle,
-                     primes_below_oracle, random_int_matrix,
+from oracles import (SMALL_PRIMES, block_diag, char_reversed_oracle,
+                     charpoly_cofactor, charpoly_oracle, column_rref_oracle,
+                     conjugate, is_prime_trial, kernel_oracle,
+                     mat_mul_oracle, primes_below_oracle, random_int_matrix,
                      random_rational_matrix, random_unimodular, rref_oracle,
                      rref_rank, solve_oracle)
 
@@ -600,10 +600,25 @@ def _iroot(x, n):
     return lo
 
 
+def _counting_passes(monkeypatch):
+    """Record (modulus, returned None) for each charpoly_mod pass that
+    charpoly runs."""
+    calls = []
+    run = linalg.charpoly_mod
+
+    def counting(rows, modulus):
+        coeffs = run(rows, modulus)
+        calls.append((modulus, coeffs is None))
+        return coeffs
+
+    monkeypatch.setattr(linalg, "charpoly_mod", counting)
+    return calls
+
+
 class TestModularCharpoly:
-    """charpoly reduces B = D a modulo primes below 2^62 to Hessenberg
-    form and rebuilds the coefficients by the CRT under a Hadamard bound;
-    each case is checked against the two oracles."""
+    """charpoly reduces B = D a modulo products of up to eight primes below
+    2^78 to Hessenberg form and rebuilds the coefficients by the CRT under
+    a Hadamard bound; each case is checked against the two oracles."""
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(st.integers(0, 10).flatmap(lambda n: st.lists(
@@ -617,8 +632,36 @@ class TestModularCharpoly:
         a = RationalMatrix.from_rows(
             [[rng.choice((-1, 1)) * 2 ** 100 + rng.randint(-9, 9)
               for _ in range(10)] for _ in range(10)])
-        # |det| > 2^124 > the product of any two primes below 2^62
-        assert abs(_check_charpoly(a)[0]) > 2 ** 124
+        # |det| > 2^624 > the product of any eight primes below 2^78, so
+        # the residues of two passes meet in the CRT.
+        assert abs(_check_charpoly(a)[0]) > 2 ** 624
+
+    def test_one_pass_per_group_of_eight_primes(self, monkeypatch):
+        rng = random.Random(61)
+        a = RationalMatrix.from_rows(
+            [[rng.choice((-1, 1)) * 2 ** 100 for _ in range(10)]
+             for _ in range(10)])
+        hadamard = prod(2 + isqrt(sum(x * x for x in row))
+                        for row in a.to_int_rows())
+        ps = primes_below_oracle(2 ** 78, 24)
+        k = next(k for k in range(1, 25) if prod(ps[:k]) > 2 * hadamard)
+        calls = _counting_passes(monkeypatch)
+        _check_charpoly(a)
+        assert len(calls) == -(-k // 8) == 2
+        assert calls == [(prod(ps[i:min(i + 8, k)]), False)
+                         for i in range(0, k, 8)]
+
+    def test_pivot_is_the_first_unit_of_the_column(self, monkeypatch):
+        # Column 0 holds p, a zero divisor of the group modulus, above 1, a
+        # unit: the pass pivots on the 1 and needs no redo.
+        p = primes_below_oracle(2 ** 78, 1)[0]
+        big = 2 ** 80
+        a = RationalMatrix.from_rows([[big, 1, 2, 3], [p, big, 4, 5],
+                                      [1, 6, big, 7], [8, 9, 10, big]])
+        calls = _counting_passes(monkeypatch)
+        _check_charpoly(a)
+        [(modulus, failed)] = calls
+        assert modulus % p == 0 and modulus > p and not failed
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(st.integers(0, 6).flatmap(lambda n: st.lists(
@@ -629,12 +672,23 @@ class TestModularCharpoly:
     def test_rational_matrices(self, a):
         _check_charpoly(a)
 
-    def test_entries_that_vanish_modulo_the_first_prime(self):
-        p = primes_below_oracle(2 ** 62, 1)[0]
+    def test_entries_that_vanish_modulo_the_first_prime(self, monkeypatch):
+        p = primes_below_oracle(2 ** 78, 1)[0]
+        calls = _counting_passes(monkeypatch)
         rng = random.Random(41)
         for n in range(1, 7):
             a = random_int_matrix(rng, n) * p
+            calls.clear()
             _check_charpoly(a)
+            if n >= 3:
+                # Every multiple of p is a zero divisor of the group
+                # modulus, so column 0 has no unit: the group pass returns
+                # None and its primes are redone one at a time.
+                (group, failed), *redo = calls
+                primes_of_group = primes_below_oracle(2 ** 78, len(redo))
+                assert failed and len(redo) > 1
+                assert redo == [(q, False) for q in primes_of_group]
+                assert group == prod(primes_of_group)
             # The coefficient of t^k for p M is p^(n-k) times that for M.
             assert (a * Fraction(1, p)).charpoly() == \
                 tuple(c / p ** (n - k) for k, c in enumerate(a.charpoly()))
@@ -684,7 +738,7 @@ class TestModularCharpoly:
         # diag(+-a, ..., +-a) has Hadamard bound H = (2 + a)^n, and the
         # product M of the first k primes is the first to pass 2 H, so
         # |det| = a^n lies within a factor 2 of H and just below M / 2.
-        ps = primes_below_oracle(2 ** 62, k)
+        ps = primes_below_oracle(2 ** 78, k)
         modulus = prod(ps)
         a = _iroot((modulus - 1) // 2, n) - 2
         bound = (2 + a) ** n
@@ -750,11 +804,21 @@ def test_one_elimination_per_subspace(monkeypatch, a):
 
 
 class TestPrimeSource:
-    def test_first_prime_below_2_62(self):
-        assert next(primes()) == 2 ** 62 - 57
+    def test_first_prime_below_2_78(self):
+        assert next(primes()) == 2 ** 78 - 11
 
     def test_primes_match_the_fermat_oracle(self):
-        assert list(islice(primes(), 8)) == primes_below_oracle(2 ** 62, 8)
+        assert list(islice(primes(), 8)) == primes_below_oracle(2 ** 78, 8)
+
+    def test_witnesses_decide_every_candidate_below_2_78(self):
+        # psi_12, the least strong pseudoprime to the first twelve prime
+        # bases (Sorenson and Webster, Math. Comp. 86, 2017), fools
+        # Miller-Rabin to them; every candidate primes() tries lies below.
+        psi_12 = 318665857834031151167461
+        assert _modular.WITNESSES == tuple(SMALL_PRIMES[:12])
+        assert 399165290221 * 798330580441 == psi_12
+        assert is_prime(psi_12)
+        assert next(primes()) < 2 ** 78 < psi_12
 
     def test_miller_rabin_matches_trial_division(self):
         assert [n for n in range(10 ** 5) if is_prime(n)] == \
@@ -808,10 +872,13 @@ class TestPrimeSource:
         for thread in threads:
             thread.join(timeout=30)
             assert not thread.is_alive()
-        expected = primes_below_oracle(2 ** 62, 2)
+        expected = primes_below_oracle(2 ** 78, 2)
         assert taken == [expected] * 4
         assert found == expected
-        # Its bound needs both primes, so a repeated prime would break it.
+        # Multiples of the first prime send its bound's group of primes
+        # through the one-prime redo, whose CRT a repeated prime would
+        # break.
         a = RationalMatrix.from_rows(
-            [[2 ** 25, 1, 3], [5, 2 ** 25, 7], [11, 13, 2 ** 25]])
+            [[expected[0] * x for x in row]
+             for row in ([1, 2, 3], [5, 1, 7], [11, 13, 1])])
         assert a.charpoly() == charpoly_oracle(a)
