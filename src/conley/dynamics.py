@@ -34,8 +34,11 @@ from .spectral import invariant_factors, nonnilpotent_part
 
 
 def _check_entries(values, allowed, rule, path):
-    """Raise at the first of ``values`` that is not an int in ``allowed``,
-    located at its position under ``path``."""
+    """Raise at the first of ``values`` that is not an int in ``allowed``
+    (a set), located at its position under ``path``; a passing row is
+    tested whole, and only a failing one entry by entry."""
+    if set(map(type, values)) <= {int} and allowed.issuperset(values):
+        return
     for k, v in enumerate(values):
         if type(v) is not int:
             raise ValidationError("expected an integer", f"{path}/{k}")
@@ -61,12 +64,12 @@ class VertexShiftSpec:
                 raise ValidationError(f"row has {len(row)} entries, "
                                       f"expected {_shown(n)}",
                                       f"/adjacency/{i}")
-            _check_entries(row, (0, 1), "not in [0, 1]", f"/adjacency/{i}")
+            _check_entries(row, {0, 1}, "not in [0, 1]", f"/adjacency/{i}")
         if len(self.orientation) != n:
             raise ValidationError(f"orientation has {len(self.orientation)} "
                                   f"entries, expected {_shown(n)}",
                                   "/orientation")
-        _check_entries(self.orientation, (1, -1), "must be 1 or -1",
+        _check_entries(self.orientation, {1, -1}, "must be 1 or -1",
                        "/orientation")
 
     @classmethod
@@ -92,13 +95,11 @@ class StructureMatrix:
         if not self.matrix.is_integer:
             raise ValidationError("structure matrix entries must be "
                                   "integers")
-        if not self.raw:
-            bad = [x for row in self.matrix.to_int_rows() for x in row
-                   if abs(x) > 1]
-            if bad:
-                raise InvariantError(
-                    "shift-derived structure matrix has entries outside "
-                    f"-1..1: [{', '.join(map(_shown, bad))}]")
+        if not self.raw and not {-1, 0, 1}.issuperset(self.matrix._e):
+            bad = [x for x in self.matrix._e if abs(x) > 1]
+            raise InvariantError(
+                "shift-derived structure matrix has entries outside "
+                f"-1..1: [{', '.join(map(_shown, bad))}]")
 
     @classmethod
     def from_rows(cls, rows):
@@ -112,9 +113,10 @@ class StructureMatrix:
 def build_structure_matrix(shift):
     """Scale column k of the adjacency matrix by the orientation sign of
     symbol k."""
-    rows = [[shift.orientation[k] * shift.adjacency[j][k]
-             for k in range(shift.n)] for j in range(shift.n)]
-    return StructureMatrix(RationalMatrix.from_rows(rows), raw=False)
+    rows = [list(map(mul, row, shift.orientation))
+            for row in shift.adjacency]
+    return StructureMatrix(RationalMatrix._from_scaled(rows, shift.n, 1),
+                           raw=False)
 
 
 def count_periodic(shift, n):
@@ -273,7 +275,7 @@ class ConleyIndex:
 def _check_index_bound(basic, ambient_dim):
     if basic.index_u > ambient_dim:
         raise ValidationError(
-            f"basic set {basic.name!r}: index {_shown(basic.index_u)} "
+            f"basic set {_shown(basic.name)}: index {_shown(basic.index_u)} "
             f"exceeds the ambient dimension {_shown(ambient_dim)}")
 
 
@@ -387,7 +389,7 @@ class SystemSpec:
         seen = set()
         for i, b in enumerate(self.basic_sets):
             if b.name in seen:
-                raise ValidationError(f"duplicate name {b.name!r}",
+                raise ValidationError(f"duplicate name {_shown(b.name)}",
                                       f"/basic_sets/{i}/name")
             seen.add(b.name)
         dim = self.ambient_dim

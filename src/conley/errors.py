@@ -7,9 +7,12 @@ The CLI maps these onto exit codes: user-facing input problems
 
 def _shown(x):
     """An error message's view of a value: an int past 64 bits by its bit
-    length (str() refuses huge ints), anything else by its repr."""
+    length (str() refuses huge ints), a string past 64 characters by its
+    length and first 32 characters, anything else by its repr."""
     if isinstance(x, int) and x.bit_length() > 64:
         return f"<integer of {x.bit_length()} bits>"
+    if isinstance(x, str) and len(x) > 64:
+        return f"<string of {len(x)} characters starting {x[:32]!r}>"
     return repr(x)
 
 

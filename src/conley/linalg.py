@@ -8,15 +8,21 @@ the stored integers.  Products (powers too) and the characteristic polynomial
 bring in the matching power of D once, when the result is built.  The
 characteristic polynomial is found by Hessenberg reduction modulo products
 of primes, pivoting on units, and rebuilt by the CRT under a proven bound
-on its coefficients.  Rank,
-kernel, column echelon form and solve share one fraction-free (Bareiss)
-Gauss-Jordan elimination: every intermediate is an integer minor of the
-input, and the reduced echelon form is d times an integer matrix, which
-becomes the stored form with denominator d.  The cyclic decomposition
-behind ``spectral.invariant_factors`` eliminates its integer Krylov
-chains itself, once each, as they grow.
-Subspaces carry a canonical basis (the reduced column echelon form) built
-by one elimination, so equal subspaces compare equal entrywise.
+on its coefficients.
+
+Elimination is fraction-free (Bareiss), so every intermediate is an
+integer minor of the input, and it comes in two forms.  The forward
+elimination (_reduce, _pivot, _independent) takes integer vectors one at
+a time and keeps those independent of the ones before.  It gives every
+fact that needs only a rank (``rank``, ``Subspace.contains`` and the stop
+tests of both chains in ``spectral``), and it eliminates the Krylov
+chains behind ``spectral.invariant_factors``, once each, as they grow.
+Gauss-Jordan (_gauss_jordan) serves only ``column_space``,
+``kernel_basis`` and ``solve_columns``, which need the reduced echelon
+form: d times an integer matrix, which becomes the stored form with
+denominator d.  Subspaces carry a canonical basis (the reduced column
+echelon form) built by one elimination, so equal subspaces compare equal
+entrywise.
 """
 
 from __future__ import annotations
@@ -47,7 +53,8 @@ def _scaled(values):
         if isinstance(x, Fraction):
             denom = lcm(denom, x.denominator)
         elif not isinstance(x, int) or isinstance(x, bool):
-            raise DomainError(f"matrix entry {x!r} is not a rational number")
+            raise DomainError(f"matrix entry {_shown(x)} is not a rational "
+                              "number")
     if denom == 1:
         return 1, tuple(map(int, values))
     return denom, tuple(x.numerator * (denom // x.denominator)
@@ -231,8 +238,9 @@ class RationalMatrix:
         return m
 
     def rank(self):
-        """Exact rank: the pivot count of fraction-free elimination."""
-        return len(_gauss_jordan(self._scaled_int_rows()[1])[0])
+        """Exact rank: the pivot count of the forward elimination of the
+        rows."""
+        return len(_independent(self._scaled_int_rows()[1], self.cols))
 
     def charpoly(self):
         """Monic characteristic polynomial det(tI - self), ascending
@@ -315,6 +323,61 @@ def _int_product(rows, cols):
     """Integer matrix product, given the left factor's rows and the right
     factor's columns."""
     return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+
+def _reduce(columns, y):
+    """y, in pivot order, reduced in place against the columns of a forward
+    elimination (fraction-free Bareiss, forward only): step k turns each
+    entry i > k into (p y_i - f y_k) / prev, p the k-th pivot, prev the one
+    before (1 for k = 0) and f the column's entry i.  Entry i is then the
+    minor of the pivot rows 0..k and row i on the first k + 1 vectors and y
+    (Sylvester's identity), so each division is exact."""
+    prev = 1
+    for k, col in enumerate(columns):
+        p, z = col[k], y[k]
+        if z:
+            y[k + 1:] = [(p * a - f * z) // prev
+                         for a, f in zip(y[k + 1:], col[k + 1:])]
+        elif p != prev:
+            y[k + 1:] = [p * a // prev for a in y[k + 1:]]
+        prev = p
+    return y
+
+
+def _pivot(order, columns, y):
+    """Append y, reduced by _reduce, to the columns as pivot d = len(columns)
+    and return True; False when y is zero from position d on (y depends on
+    the columns).  The first nonzero entry of y from d on becomes the pivot:
+    it is swapped to position d, in ``order`` and in every column, so pivot
+    k is the leading k + 1 square minor of the vectors on their rows in
+    ``order``."""
+    d = len(columns)
+    for j in range(d, len(y)):
+        if y[j]:
+            break
+    else:
+        return False
+    if j != d:
+        order[d], order[j] = order[j], order[d]
+        for col in columns:
+            col[d], col[j] = col[j], col[d]
+        y[d], y[j] = y[j], y[d]
+    columns.append(y)
+    return True
+
+
+def _independent(vectors, n):
+    """The positions of the integer vectors of length n that are independent
+    of the ones before them: one forward elimination, each vector put in
+    pivot order, reduced and pivoted in as it arrives.  Their count is the
+    rank; the pass ends once n are found."""
+    order, columns, found = list(range(n)), [], []
+    for k, v in enumerate(vectors):
+        if len(found) == n:
+            break
+        if _pivot(order, columns, _reduce(columns, [v[i] for i in order])):
+            found.append(k)
+    return found
 
 
 def _gauss_jordan(m):
@@ -412,7 +475,8 @@ class Subspace:
         if len(vec) != self.ambient_dim:
             raise ShapeError("vector length does not match ambient space")
         vectors = _columns(self.basis._scaled_int_rows()[1], self.dim)
-        return len(_gauss_jordan(vectors + [vec])[0]) == self.dim
+        vectors.append(vec)
+        return len(_independent(vectors, self.ambient_dim)) == self.dim
 
 
 def column_space(a):

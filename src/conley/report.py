@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .dynamics import (BasicSetAnalysis, StepBudget, _power_traces,
                        conley_index, count_periodic,
@@ -21,16 +22,20 @@ from .poly import IntPolynomial
 from .spectral import generalized_kernel, jordan_profile
 
 
-def encode_fraction(x):
-    return x.numerator if x.denominator == 1 else \
-        f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
-
-
 def encode_matrix(m):
-    if m.is_integer:
-        return m.to_int_rows()
-    return [[encode_fraction(x) for x in m.row_list(i)]
-            for i in range(m.rows)]
+    """Integer rows, with a rational entry x / D of the stored form written
+    "p/q" in lowest terms, one gcd each."""
+    denom, rows = m._scaled_int_rows()
+    if denom == 1:
+        return [list(row) for row in rows]
+    return [[_ratio(x, denom) for x in row] for row in rows]
+
+
+def _ratio(x, denom):
+    g = gcd(x, denom)
+    if g == denom:
+        return x // g
+    return f"{_decimal(x // g)}/{_decimal(denom // g)}"
 
 
 def encode_poly(p):
@@ -245,11 +250,13 @@ def _text_set_header(section, lines):
 def _decoded_matrix_lines(rows):
     if not rows or not rows[0]:
         return [f"[] ({len(rows)}x{len(rows[0]) if rows else 0})"]
-    cells = [[x if isinstance(x, str) else _decimal(x) for x in row]
-             for row in rows]
-    width = max(len(s) for row in cells for s in row)
-    return ["[" + " ".join(f"{s:>{width}}" for s in row) + "]"
-            for row in cells]
+    n = len(rows[0])
+    cells = [x if type(x) is str else _decimal(x)
+             for row in rows for x in row]
+    width = max(map(len, cells))
+    cells = [s.rjust(width) for s in cells]
+    return ["[" + " ".join(cells[i:i + n]) + "]"
+            for i in range(0, len(cells), n)]
 
 
 def _poly_display(coeffs):

@@ -2,19 +2,25 @@
 conjugacy invariants of rational matrices.
 
 The eventual image is the stable member of the chain im A >= im A^2 >=
-..., built one elimination per step until a step keeps the dimension;
-there A maps the image onto itself, so the induced map A+, read off the
-basis's pivot rows, is invertible without a further rank check.
+..., followed on integer spanning columns with one forward elimination
+(linalg's) per step until a step keeps the dimension; there A maps the
+image onto itself, so the induced map A+, read off the pivot rows of the
+one column space (Gauss-Jordan) taken at the end, is invertible without
+a further rank check.  The eventual kernel follows its own chain, ker A
+<= ker A^2 <= ..., with a forward elimination for each stop test and a
+Gauss-Jordan kernel for each step that grows; neither chain forms a
+power of A.
 
 Similarity over the rationals is certified by invariant factors (the
 diagonal of the Smith normal form of tI - A over Q[t]), obtained from a
 cyclic decomposition: the minimal polynomial is the annihilator of a
 suitable vector, and the rest comes from the map induced on the quotient
 by that vector's cyclic subspace.  All of it runs on integer rows, and
-the Krylov chain is eliminated once, fraction-free, as it grows: it stops
-at its first dependent vector, whose integer coordinates on the earlier
-ones give the monic annihilator, and each column of the matrix reduced
-by the same steps gives a column of the quotient map.  A module is
+the Krylov chain is eliminated once, by the same forward elimination, as
+it grows: it stops at its first dependent vector, whose integer
+coordinates on the earlier ones give the monic annihilator, and each
+column of the matrix reduced by the same steps gives a column of the
+quotient map.  A module is
 generated by a trial vector and the lifts of its quotient's generators,
 so an annihilator is certified to be the minimal polynomial on the
 lifted trial vectors of the lower levels, not on every unit vector.  The
@@ -32,8 +38,9 @@ from operator import mul
 
 from ._modular import is_prime
 from .errors import DomainError, InvariantError
-from .linalg import (RationalMatrix, Subspace, _columns, column_space,
-                     kernel_basis, solve_columns)
+from .linalg import (RationalMatrix, Subspace, _columns, _independent,
+                     _pivot, _reduce, column_space, kernel_basis,
+                     solve_columns)
 from .poly import (T, IntPolynomial, exact_div, poly_gcd,
                    squarefree_decomposition)
 
@@ -43,32 +50,63 @@ KIND_UNRESOLVED = "unresolved"
 
 
 def generalized_kernel(a):
-    """ker(a^n) for an n x n matrix: the stabilised member of the chain
-    ker a <= ker a^2 <= ..., with canonical basis.
+    """ker(a^n) for an n x n matrix: the stable member of the chain
+    K_0 = 0 <= K_1 <= ..., with canonical basis.
 
-    It forms a^n rather than stopping where the chain stabilises, so that
-    it shares no step with generalized_image: dim ker a^n + dim im a^k = n
-    then compares two independent computations, where a stopping power
-    shared by both would make it hold by rank-nullity alone."""
+    K_(j+1) = {v : a v in K_j} is the first n coordinates of ker [a | B_j],
+    B_j the canonical basis of K_j: B_j has full column rank, so dropping
+    the last coordinates keeps that kernel's vectors independent, and every
+    leading entry of its reduced column echelon basis lies among the first
+    n, where the truncated basis is the canonical one of K_(j+1).  That
+    kernel has dimension n + dim K_j - rank [a | B_j], so the chain stops
+    at the first j where the forward elimination of the rows of [a | B_j]
+    finds rank n, and no power of a is formed.
+
+    The chain shares no step with generalized_image, which eliminates
+    columns of integer spanning sets of the images and takes one column
+    space; this one eliminates rows and takes kernels, with its own stop.
+    So dim ker a^n + dim im a^n = n, checked by verify, compares two
+    independent computations rather than holding by rank-nullity alone."""
     a._require_square("generalized kernel")
-    return kernel_basis(a ** a.rows)
+    n = a.rows
+    rows = a._scaled_int_rows()[1]
+    basis = RationalMatrix.zeros(n, 0)
+    while True:
+        # [D a | d B_j], D and d the denominators: scaling a block keeps
+        # the first n coordinates of the kernel.
+        step = [r + b for r, b in zip(rows, basis._scaled_int_rows()[1])]
+        if len(_independent(step, n + basis.cols)) == n:
+            return Subspace._from_echelon(n, basis)
+        kernel = kernel_basis(
+            RationalMatrix._from_scaled(step, n + basis.cols, 1)).basis
+        denom, vectors = kernel._scaled_int_rows()
+        basis = RationalMatrix._from_scaled(vectors[:n], kernel.cols, denom)
 
 
 def generalized_image(a):
     """The eventual image im a^n of an n x n matrix, with canonical basis.
 
-    It follows the chain V_0 = Q^n >= V_1 >= ..., V_(k+1) = a V_k, one
-    elimination of a times the basis of V_k per step, so no power of a
-    is formed.  At the first step that keeps the dimension, a maps V_k
-    onto itself, so every later member equals V_k, and the subspace just
-    built is V_k itself (the canonical basis is unique).  The dimension
-    falls at each earlier step, so there are at most n + 1 eliminations.
+    It follows the chain V_0 = Q^n >= V_1 >= ..., V_(k+1) = a V_k, on
+    integer spanning columns: S_1 = D a for the denominator D of a, and
+    S_(k+1) = D a times the columns of S_k that the forward elimination
+    finds independent, a basis of V_k, so no power of a is formed.  At
+    the first step that keeps the dimension, a maps V_k onto itself, so
+    every later member equals V_k, and one column space of that basis
+    gives the canonical one (the identity when the first step keeps
+    dimension n).  The dimension falls at each earlier step, so there are
+    at most n + 1 forward eliminations.
     """
     a._require_square("generalized image")
-    dim, image = a.rows, a
-    while (space := column_space(image)).dim != dim:
-        dim, image = space.dim, a * space.basis
-    return space
+    n = a.rows
+    rows = a._scaled_int_rows()[1]
+    dim, basis, span = n, None, _columns(rows, n)
+    while len(keep := _independent(span, n)) != dim:
+        dim, basis = len(keep), [span[j] for j in keep]
+        span = [_apply(rows, v) for v in basis]
+    if basis is None:
+        return Subspace._from_echelon(n, RationalMatrix.identity(n))
+    return column_space(RationalMatrix._from_scaled(_columns(basis, n),
+                                                    dim, 1))
 
 
 @dataclass(frozen=True)
@@ -114,9 +152,12 @@ def nonnilpotent_part(a):
     stops only where a maps the image onto itself, so the matrix is
     invertible, and the canonical basis B is the identity on its pivot rows
     P (each column's first nonzero row), so B X = a B gives X = a[P] B.
+    An image of dimension n has B = I, and then X = a, with no product.
     """
     a._require_square("nonnilpotent part")
     image = generalized_image(a)
+    if image.dim == a.rows:
+        return InducedMap(a, image, a.rows, a)
     denom, rows = a._scaled_int_rows()
     cols = _columns(image.basis._scaled_int_rows()[1], image.dim)
     pivot_rows = [rows[next(i for i, x in enumerate(c) if x)] for c in cols]
@@ -152,53 +193,19 @@ def _probe(rows, q, x):
     return _kills(rows, q, _trial(len(rows), x + 1))
 
 
-def _reduce(columns, y):
-    """y, in pivot order, reduced in place against the chain's columns
-    (fraction-free Bareiss, forward only): step k turns each entry i > k
-    into (p y_i - f y_k) / prev, p the k-th pivot, prev the one before (1
-    for k = 0) and f the column's entry i.  Entry i is then the minor of
-    the pivot rows 0..k and row i on the first k + 1 vectors and y
-    (Sylvester's identity), so each division is exact."""
-    prev = 1
-    for k, col in enumerate(columns):
-        p, z = col[k], y[k]
-        if z:
-            y[k + 1:] = [(p * a - f * z) // prev
-                         for a, f in zip(y[k + 1:], col[k + 1:])]
-        elif p != prev:
-            y[k + 1:] = [p * a // prev for a in y[k + 1:]]
-        prev = p
-    return y
-
-
 def _krylov(rows, v):
     """(order, columns, dependent): the Krylov chain v, Bv, ..., B^(d-1) v
-    of B = rows, each vector put in pivot order (entry i is entry
-    order[i]) and reduced as it arrives, up to its first dependent vector
-    B^d v.  The first nonzero entry of a reduced vector below the pivots
-    becomes the next pivot (swapped to position d, in ``order`` and in
-    every column), so pivot k is the leading k + 1 square minor of the
-    chain on its rows in ``order``; ``dependent`` is B^d v reduced, zero
-    from position d on.
+    of B = rows in linalg's forward elimination, each vector put in pivot
+    order (entry i is entry order[i]), reduced and pivoted in as it
+    arrives, up to its first dependent vector B^d v.  Pivot k is the
+    leading k + 1 square minor of the chain on its rows in ``order``;
+    ``dependent`` is B^d v reduced, zero from position d on.
     """
-    n = len(rows)
-    order = list(range(n))
-    columns = []
-    w = v
+    order, columns, w = list(range(len(rows))), [], v
     while True:
         y = _reduce(columns, [w[i] for i in order])
-        d = len(columns)
-        for j in range(d, n):
-            if y[j]:
-                break
-        else:
+        if not _pivot(order, columns, y):
             return order, columns, y
-        if j != d:
-            order[d], order[j] = order[j], order[d]
-            for col in columns:
-                col[d], col[j] = col[j], col[d]
-            y[d], y[j] = y[j], y[d]
-        columns.append(y)
         w = _apply(rows, w)
 
 

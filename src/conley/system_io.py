@@ -34,7 +34,7 @@ def _require_object(value, path, required, optional=()):
     allowed = set(required) | set(optional)
     for key in value:
         if key not in allowed:
-            raise ValidationError(f"unknown key {key!r}", path)
+            raise ValidationError(f"unknown key {_shown(key)}", path)
 
 
 def _require_int(value, path):
@@ -44,10 +44,10 @@ def _require_int(value, path):
 
 
 def _require_int_matrix(value, path):
+    """value, checked to be a square list of int rows."""
     if not isinstance(value, list):
         raise ValidationError("expected an array of arrays", path)
     n = len(value)
-    rows = []
     for i, row in enumerate(value):
         if not isinstance(row, list):
             raise ValidationError("expected an array", f"{path}/{i}")
@@ -57,11 +57,10 @@ def _require_int_matrix(value, path):
                 "be square)", f"{path}/{i}")
         # Locations are formatted only on the way to an error: a row of
         # plain ints passes without a per-entry string.
-        if any(type(x) is not int for x in row):
+        if not set(map(type, row)) <= {int}:
             for j, x in enumerate(row):
                 _require_int(x, f"{path}/{i}/{j}")
-        rows.append(list(row))
-    return rows
+    return value
 
 
 @contextmanager
@@ -83,7 +82,8 @@ def _parse_basic_set(obj, path):
             "exactly one of 'matrix' and 'graph' is required", path)
     if "matrix" in obj:
         rows = _require_int_matrix(obj["matrix"], f"{path}/matrix")
-        structure = StructureMatrix(RationalMatrix.from_rows(rows), raw=True)
+        structure = StructureMatrix(
+            RationalMatrix._from_scaled(rows, len(rows), 1), raw=True)
         shift = None
     else:
         gpath = f"{path}/graph"
@@ -115,7 +115,7 @@ def _parse_ambient(obj, path):
     for key, value in raw_maps.items():
         # A rejected key is located at its object, and shown if printable.
         if not (key.isascii() and key.isdigit()):
-            shown = f" {key!r}" if key.isprintable() else ""
+            shown = f" {_shown(key)}" if key.isprintable() else ""
             raise ValidationError(f"degree key{shown} is not a "
                                   "nonnegative integer", mpath)
         try:
@@ -127,7 +127,7 @@ def _parse_ambient(obj, path):
             raise ValidationError(f"degree {_shown(degree)} given twice",
                                   mpath)
         rows = _require_int_matrix(value, f"{mpath}/{key}")
-        maps[degree] = RationalMatrix.from_rows(rows)
+        maps[degree] = RationalMatrix._from_scaled(rows, len(rows), 1)
     split_at = None
     if "split_at" in obj:
         split_at = _require_int(obj["split_at"], f"{path}/split_at")

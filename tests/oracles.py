@@ -207,6 +207,13 @@ def eventual_image_oracle(a):
     return Subspace._from_echelon(a.rows, column_rref_oracle(a ** a.rows))
 
 
+def eventual_kernel_oracle(a):
+    """ker a^n for an n x n RationalMatrix: a^n eliminated once by the
+    Fraction elimination (the library follows the chain of kernels and forms
+    no power), wrapped with _from_echelon like eventual_image_oracle."""
+    return Subspace._from_echelon(a.rows, kernel_oracle(a ** a.rows))
+
+
 def kernel_oracle(m):
     """Reduced column echelon basis of the null space of a RationalMatrix,
     read off its Fraction RREF: one vector per free column f, 1 at f and

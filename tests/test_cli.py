@@ -525,8 +525,9 @@ class TestVerifyCommand:
         assert [c["status"] for c in periodic] == ["skipped"]
 
 
-# Inputs that once escaped validation with a traceback, mapped to the
-# file content and the JSON pointer the error names (None: the file path).
+# Inputs that once escaped validation with a traceback, or echoed a long
+# string in full, mapped to the file content and the JSON pointer the error
+# names (None: the file path).  Each error line stays short.
 BAD_INPUTS = {
     "superscript-key": (
         '{"basic_sets": [], "ambient": {"dim": 2, '
@@ -554,6 +555,18 @@ BAD_INPUTS = {
     "surrogate-name": (
         '{"basic_sets": [{"name": "a\\ud800", "index": 0, '
         '"matrix": [[1]]}]}', "/basic_sets/0/name"),
+    "long-word-key": (
+        '{"basic_sets": [], "ambient": {"dim": 2, '
+        '"homology_maps": {"' + "x" * 100_000 + '": [[1]]}}}',
+        "/ambient/homology_maps: degree key <string of 100000 characters"),
+    "long-duplicate-name": (
+        '{"basic_sets": ['
+        + ", ".join(['{"name": "' + "n" * 100_000 + '", "index": 0, '
+                     '"matrix": [[1]]}'] * 2) + ']}',
+        "/basic_sets/1/name: duplicate name <string of 100000 characters"),
+    "long-unknown-key": (
+        '{"basic_sets": [], "' + "k" * 100_000 + '": 1}',
+        ": unknown key <string of 100000 characters"),
 }
 
 
@@ -586,6 +599,7 @@ class TestErrorHandling:
         assert err.startswith("error: ")
         assert err[-1] == "\n" and err[:-1].isprintable()  # one clean line
         assert (pointer or str(path)) in err
+        assert len(err) < 300 + len(str(path))
 
     def test_long_integer_argument_is_abbreviated(self, capsys,
                                                   fixture_path):

@@ -303,6 +303,17 @@ class TestLefschetz:
         with pytest.raises(ValidationError, match="exceeds the ambient"):
             fn(basic("high", [[2]], 3), 2)
 
+    def test_long_strings_are_abbreviated_in_library_errors(self):
+        long = "v" * 100_000
+        with pytest.raises(DomainError) as entry:
+            RationalMatrix(1, 1, [long])
+        with pytest.raises(ValidationError) as name:
+            conley_index(basic(long, [[2]], 3), 2)
+        for exc in (entry, name):
+            assert "<string of 100000 characters starting 'vvv" in \
+                str(exc.value)
+            assert len(str(exc.value)) < 200
+
     def test_matches_fraction_powers(self):
         rng = random.Random(229)
         for _ in range(40):
@@ -643,10 +654,17 @@ def test_verify_computes_each_fact_once(monkeypatch):
     monkeypatch.setattr(RationalMatrix, "charpoly",
                         counting("charpoly", RationalMatrix.charpoly))
     monkeypatch.setattr(RationalMatrix, "__pow__", counting(
-        "power", RationalMatrix.__pow__,
-        lambda m, k: m == a and k == a.rows))
+        "power", RationalMatrix.__pow__, lambda m, k: m == a))
     monkeypatch.setattr(spectral, "generalized_image", counting(
         "image", spectral.generalized_image))
+    independent = spectral._independent
+
+    def forward(vectors, n):
+        chain = sys._getframe(1).f_code.co_name.split("_")[1]
+        counts[f"{chain} steps"] = counts.get(f"{chain} steps", 0) + 1
+        return independent(vectors, n)
+
+    monkeypatch.setattr(spectral, "_independent", forward)
     for module in (spectral, dynamics):
         monkeypatch.setattr(module, "invariant_factors", counting(
             "invariant_factors", spectral.invariant_factors))
@@ -655,10 +673,14 @@ def test_verify_computes_each_fact_once(monkeypatch):
     for _ in range(2):
         counts.clear()
         assert build_verify_report(system)["ok"]
-        # Only generalized_kernel forms A^n; generalized_image follows
-        # the chain im A^k and forms no power.  A+ is read off pivot rows
-        # and solved for once, by InducedMap.verify.
-        assert counts == {"charpoly": 2, "image": 1, "power": 1, "solve": 1}
+        # Neither chain forms a power of A; each takes one forward
+        # elimination per step.  The kernel chain ranks A (2, so ker A has
+        # dimension 2) and [A | B_1] (4: ker A^2 = ker A, so it stops); the
+        # image chain ranks A's columns (2) and A times its two independent
+        # ones (2: A maps im A onto itself).  A+ is read off pivot rows and
+        # solved for once, by InducedMap.verify.
+        assert counts == {"charpoly": 2, "image": 1, "kernel steps": 2,
+                          "image steps": 2, "solve": 1}
 
 
 def _rank_callers(monkeypatch):

@@ -8,7 +8,7 @@ from itertools import islice
 from math import gcd, isqrt, lcm, prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conley import _modular, linalg
 from conley._modular import is_prime, primes
@@ -335,13 +335,33 @@ def matrices(draw, rows=None, cols=None):
 
 
 class TestGaussJordanAgainstOracle:
-    """Rank, column echelon form, kernel and solve share one fraction-free
-    Gauss-Jordan kernel; check each against Fraction Gauss-Jordan."""
+    """Column echelon form, kernel and solve share one fraction-free
+    Gauss-Jordan kernel, and rank takes its forward half; check each
+    against Fraction Gauss-Jordan."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(matrices())
     def test_rank(self, a):
         assert a.rank() == len(rref_oracle(a.tolist()))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(matrices())
+    @example(RationalMatrix.zeros(0, 4))
+    @example(RationalMatrix.zeros(4, 0))
+    @example(RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)],
+                                       [Fraction(3, 2), 1]]))
+    def test_forward_elimination_keeps_each_vector_that_raises_the_rank(
+            self, a):
+        # On the rows and on the columns alike: vector k is kept exactly
+        # when it raises the rank of the vectors before it, so the count
+        # kept is the rank.
+        rows = a._scaled_int_rows()[1]
+        for vectors, n in ((rows, a.cols),
+                           (linalg._columns(rows, a.cols), a.rows)):
+            ranks = [rref_rank(vectors[:k]) for k in range(len(vectors) + 1)]
+            assert linalg._independent(vectors, n) == [
+                k for k in range(len(vectors)) if ranks[k + 1] > ranks[k]]
+        assert a.rank() == ranks[-1]
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(matrices())

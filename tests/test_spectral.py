@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conley import linalg, spectral
 from conley.errors import DomainError, InvariantError, ShapeError
@@ -18,7 +18,8 @@ from conley.spectral import (KIND_COMPLEX, KIND_RATIONAL, KIND_UNRESOLVED,
                              nonnilpotent_part)
 
 from oracles import (block_diag, companion, conjugate, det_oracle,
-                     eventual_image_oracle, integer_roots_oracle,
+                     eventual_image_oracle, eventual_kernel_oracle,
+                     integer_roots_oracle,
                      invariant_factors_oracle, jordan_block, mat_mul_oracle,
                      quadratic_companion_block, quotient_map_oracle,
                      random_int_matrix, random_rational_matrix,
@@ -241,23 +242,49 @@ def test_image_chain_matches_the_power_route(a):
     assert plus == solve_oracle(oracle.basis, mat_mul_oracle(a, oracle.basis))
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(eventual_image_cases())
+@example(RationalMatrix.zeros(0, 0))
+@example(RationalMatrix.from_rows([[0]]))
+@example(RationalMatrix.from_rows([[Fraction(1, 2)]]))
+@example(RationalMatrix.zeros(3, 3))
+def test_kernel_chain_matches_the_power_route(a):
+    # The chain stops at the first [a | B_j] of rank n; the oracle
+    # eliminates a^n.  Together with the image chain it splits Q^n.
+    kernel = generalized_kernel(a)
+    assert kernel == eventual_kernel_oracle(a)
+    assert kernel.dim + generalized_image(a).dim == a.rows
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(eventual_image_cases())
+def test_an_invertible_matrix_is_its_own_nonnilpotent_part(a):
+    # A nonsingular a has the whole space for its eventual image, whose
+    # canonical basis is the identity, so A+ is a itself.
+    assume(a.rank() == a.rows)
+    induced = nonnilpotent_part(a)
+    assert induced.matrix == a
+    assert induced.image_basis.basis == RationalMatrix.identity(a.rows)
+    assert induced.verify()
+
+
 def _chain_counts(monkeypatch, a):
-    """(dim of generalized_image(a), powers formed, column_space calls)."""
-    counts = {"power": 0, "column_space": 0}
+    """(dim of generalized_image(a), powers formed, forward eliminations)."""
+    counts = {"power": 0, "forward": 0}
     pow_ = RationalMatrix.__pow__
 
     def power(m, k):
         counts["power"] += 1
         return pow_(m, k)
 
-    def space(m):
-        counts["column_space"] += 1
-        return linalg.column_space(m)
+    def forward(vectors, n):
+        counts["forward"] += 1
+        return linalg._independent(vectors, n)
 
     monkeypatch.setattr(RationalMatrix, "__pow__", power)
-    monkeypatch.setattr(spectral, "column_space", space)
+    monkeypatch.setattr(spectral, "_independent", forward)
     dim = generalized_image(a).dim
-    return dim, counts["power"], counts["column_space"]
+    return dim, counts["power"], counts["forward"]
 
 
 def test_image_chain_of_a_nonsingular_matrix_is_one_elimination(monkeypatch):

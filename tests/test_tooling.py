@@ -100,18 +100,27 @@ def test_library_imports_only_the_standard_library():
     assert outside == {}
 
 
+FORWARD_ELIMINATION = ("_reduce", "_pivot", "_independent")
+
+
 def test_only_linalg_names_the_gauss_jordan_elimination():
     # spectral reads each quotient map off the Krylov chain's own factor;
     # a module that names linalg._gauss_jordan would eliminate it again.
+    # The forward elimination behind every rank and chain stop is linalg's
+    # alone too: other modules import it and define none of their own.
     package = (pathlib.Path(__file__).resolve().parent.parent
                / "src" / "conley")
-    naming = set()
+    naming, defining = set(), {}
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if any(getattr(node, field, None) == "_gauss_jordan"
                    for field in ("id", "attr", "name")):
                 naming.add(path.name)
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name in FORWARD_ELIMINATION):
+                defining.setdefault(node.name, []).append(path.name)
     assert naming == {"linalg.py"}
+    assert defining == {name: ["linalg.py"] for name in FORWARD_ELIMINATION}
 
 
 PUBLIC_API = [
