@@ -11,18 +11,17 @@ of primes, pivoting on units, and rebuilt by the CRT under a proven bound
 on its coefficients.
 
 Elimination is fraction-free (Bareiss), so every intermediate is an
-integer minor of the input, and it comes in two forms.  The forward
-elimination (_reduce, _pivot, _independent) takes integer vectors one at
-a time and keeps those independent of the ones before.  It gives every
-fact that needs only a rank (``rank``, ``Subspace.contains`` and the stop
-tests of both chains in ``spectral``), and it eliminates the Krylov
-chains behind ``spectral.invariant_factors``, once each, as they grow.
-Gauss-Jordan (_gauss_jordan) serves only ``column_space``,
-``kernel_basis`` and ``solve_columns``, which need the reduced echelon
-form: d times an integer matrix, which becomes the stored form with
-denominator d.  Subspaces carry a canonical basis (the reduced column
-echelon form) built by one elimination, so equal subspaces compare equal
-entrywise.
+integer minor of the input, and there is one of it.  The forward
+elimination (_eliminate, on _reduce and _pivot) takes integer vectors one
+at a time, keeps those independent of the ones before and reduces the
+rest.  Its pivot count is every rank, and its steps eliminate the Krylov
+chains behind ``spectral.invariant_factors`` as they grow.  Back
+substitution (_back_substitute) gives a reduced vector's coordinates on
+the independent ones, integers once scaled by the last pivot d, so
+``column_space``, ``kernel_basis`` and ``solve_columns`` build d times
+the reduced echelon form, stored with denominator d.  Subspaces carry
+that canonical basis (the reduced column echelon form), so equal
+subspaces compare equal entrywise.
 """
 
 from __future__ import annotations
@@ -240,7 +239,7 @@ class RationalMatrix:
     def rank(self):
         """Exact rank: the pivot count of the forward elimination of the
         rows."""
-        return len(_independent(self._scaled_int_rows()[1], self.cols))
+        return len(_eliminate(self._scaled_int_rows()[1], self.cols)[1])
 
     def charpoly(self):
         """Monic characteristic polynomial det(tI - self), ascending
@@ -366,53 +365,52 @@ def _pivot(order, columns, y):
     return True
 
 
-def _independent(vectors, n):
-    """The positions of the integer vectors of length n that are independent
-    of the ones before them: one forward elimination, each vector put in
-    pivot order, reduced and pivoted in as it arrives.  Their count is the
-    rank; the pass ends once n are found."""
-    order, columns, found = list(range(n)), [], []
+def _eliminate(vectors, n):
+    """(columns, found, dependent) of one forward elimination of integer
+    vectors of length n, each put in pivot order, reduced and pivoted in
+    as it arrives: those independent of the ones before them, reduced
+    (pivot k is columns[k][k]), their positions, and (position, y) for
+    every other vector, y its first d entries reduced, d the pivots before
+    it (the rest are zero, and later pivots swap only those)."""
+    order, columns, found, dependent = list(range(n)), [], [], []
     for k, v in enumerate(vectors):
-        if len(found) == n:
-            break
-        if _pivot(order, columns, _reduce(columns, [v[i] for i in order])):
+        y = _reduce(columns, [v[i] for i in order])
+        if _pivot(order, columns, y):
             found.append(k)
-    return found
+        else:
+            del y[len(columns):]
+            dependent.append((k, y))
+    return columns, found, dependent
 
 
-def _gauss_jordan(m):
-    """Fraction-free Gauss-Jordan elimination in place on a list of
-    integer rows (the list is rewritten, the rows are not mutated).
+def _back_substitute(columns, y, scale):
+    """x = scale c, c the coordinates of a vector on the first d = len(y)
+    independent ones, y the vector reduced.  _reduce is linear and turns
+    independent vector j into columns[j] up to entry j and zeros after, so
+    y_k = sum_(j >= k) columns[j][k] c_j, solved from the last pivot up.
+    Each division is exact when x is integral, as it is with the last
+    pivot as scale (Cramer's rule); a remainder is an arithmetic fault."""
+    d = len(y)
+    x = [0] * d
+    for k in range(d - 1, -1, -1):
+        s = scale * y[k]
+        for j in range(k + 1, d):
+            s -= columns[j][k] * x[j]
+        x[k], r = divmod(s, columns[k][k])
+        if r:
+            raise InvariantError("back substitution leaves a remainder: "
+                                 "the coordinates are not integral")
+    return x
 
-    Returns (pivot column list, d).  Each step updates every other row,
-    earlier pivot rows included, by (p x - f y) / prev, which Sylvester's
-    identity makes exact (Bareiss 1968), so every entry stays a minor of
-    the input.  Afterwards the first len(pivots) rows of m are d times the
-    rows of the reduced row echelon form, d the last pivot (1 when there
-    is none), and the remaining rows are zero.
-    """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        row = m[r]
-        p = row[c]
-        for i in range(nrows):
-            if i != r:
-                f = m[i][c]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], row)]
-        prev = p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots, prev
+
+def _coordinates(vectors, n):
+    """(found, scale, dependent): _eliminate's independent positions, its
+    last pivot (1 if none) and (position, x) for every other vector, x
+    scale times its coordinates on the independent ones before it."""
+    columns, found, dependent = _eliminate(vectors, n)
+    scale = columns[-1][len(columns) - 1] if columns else 1
+    return found, scale, [(k, _back_substitute(columns, y, scale))
+                          for k, y in dependent]
 
 
 def rank(a):
@@ -476,54 +474,66 @@ class Subspace:
             raise ShapeError("vector length does not match ambient space")
         vectors = _columns(self.basis._scaled_int_rows()[1], self.dim)
         vectors.append(vec)
-        return len(_independent(vectors, self.ambient_dim)) == self.dim
+        return len(_eliminate(vectors, self.ambient_dim)[1]) == self.dim
 
 
 def column_space(a):
-    """Column space of a, with canonical basis (one elimination)."""
-    vectors = _columns(a._scaled_int_rows()[1], a.cols)
-    pivots, d = _gauss_jordan(vectors)
-    r = len(pivots)
+    """Column space of a, with canonical basis B (the reduced column echelon
+    form) from one forward elimination of a's rows.  The rows independent
+    of the ones before them are B's pivot rows P, where B is the identity,
+    and a = B a[P], so row i of B holds the coordinates of a[i] on a[P]."""
+    found, scale, dependent = _coordinates(a._scaled_int_rows()[1], a.cols)
+    r = len(found)
+    rows = [[0] * r for _ in range(a.rows)]
+    for j, i in enumerate(found):
+        rows[i][j] = scale
+    for i, x in dependent:
+        rows[i][:len(x)] = x
     return Subspace._from_echelon(a.rows, RationalMatrix._from_scaled(
-        _columns(vectors[:r], a.rows), r, d))
+        rows, r, scale))
 
 
 def kernel_basis(a):
     """Canonical basis of the exact null space {v : a v = 0}.
 
-    m is d times the reduced row echelon form of a with its columns taken
-    last to first, so a free column f of a meets only pivots after it, and
-    its null vector (d at f, -m[r][n - 1 - f] at the pivot of row r) starts
-    at f, where every other one is zero: in increasing f these vectors are
-    the reduced column echelon form.
+    The columns of a are eliminated last to first, so a free column f
+    depends on pivot columns after it, and its null vector (scale at f,
+    minus its scaled coordinates at those columns) starts at f, where every
+    other one is zero: in increasing f these vectors are the reduced column
+    echelon form.
     """
     n = a.cols
-    m = [row[::-1] for row in a._scaled_int_rows()[1]]
-    pivots, d = _gauss_jordan(m)
-    vectors = []
-    for f in (c for c in range(n) if n - 1 - c not in pivots):
-        v = [0] * n
-        v[f] = d
-        for r, p in enumerate(pivots):
-            v[n - 1 - p] = -m[r][n - 1 - f]
-        vectors.append(v)
+    found, scale, dependent = _coordinates(
+        [a._e[j::n] for j in range(n - 1, -1, -1)], a.rows)
+    pivots = [n - 1 - k for k in found]
+    rows = [[0] * len(dependent) for _ in range(n)]
+    for t, (k, x) in enumerate(reversed(dependent)):
+        rows[n - 1 - k][t] = scale
+        for p, y in zip(pivots, x):
+            rows[p][t] = -y
     return Subspace._from_echelon(n, RationalMatrix._from_scaled(
-        _columns(vectors, n), len(vectors), d))
+        rows, len(dependent), scale))
 
 
 def solve_columns(b, c):
-    """The unique x with b x = c for a full-column-rank b; raises
-    DomainError when the system is inconsistent."""
+    """The unique x with b x = c for a full-column-rank b, from one forward
+    elimination of b's columns, then c's.  Raises DomainError when a column
+    of c is independent (no solution), then InvariantError for a short rank."""
     if b.rows != c.rows:
         raise ShapeError("solve needs matching row counts")
-    rows = b.augment(c)._scaled_int_rows()[1]
-    pivots, d = _gauss_jordan(rows)
-    if any(p >= b.cols for p in pivots):
+    m, k = b.cols, c.cols
+    found, scale, dependent = _coordinates(
+        [b._e[j::m] for j in range(m)] + [c._e[j::k] for j in range(k)],
+        b.rows)
+    if found and found[-1] >= m:
         raise DomainError("inconsistent linear system")
-    if len(pivots) != b.cols:
+    if len(found) != m:
         raise InvariantError("solve requires full column rank")
+    # The stored integers are D b and E c, and D b y = E c for y the
+    # coordinates of c's columns over scale, so x = (D / E) y.
     return RationalMatrix._from_scaled(
-        [row[b.cols:] for row in rows[:b.cols]], c.cols, d)
+        [[b._d * y for y in row]
+         for row in _columns([x for _, x in dependent], m)], k, scale * c._d)
 
 
 def inverse(a):

@@ -5,11 +5,10 @@ The eventual image is the stable member of the chain im A >= im A^2 >=
 ..., followed on integer spanning columns with one forward elimination
 (linalg's) per step until a step keeps the dimension; there A maps the
 image onto itself, so the induced map A+, read off the pivot rows of the
-one column space (Gauss-Jordan) taken at the end, is invertible without
-a further rank check.  The eventual kernel follows its own chain, ker A
-<= ker A^2 <= ..., with a forward elimination for each stop test and a
-Gauss-Jordan kernel for each step that grows; neither chain forms a
-power of A.
+one column space taken at the end, is invertible without a further rank
+check.  The eventual kernel follows its own chain, ker A <= ker A^2 <=
+..., with one kernel per step, and stops at the first that does not
+grow; neither chain forms a power of A.
 
 Similarity over the rationals is certified by invariant factors (the
 diagonal of the Smith normal form of tI - A over Q[t]), obtained from a
@@ -38,9 +37,9 @@ from operator import mul
 
 from ._modular import is_prime
 from .errors import DomainError, InvariantError
-from .linalg import (RationalMatrix, Subspace, _columns, _independent,
-                     _pivot, _reduce, column_space, kernel_basis,
-                     solve_columns)
+from .linalg import (RationalMatrix, Subspace, _back_substitute, _columns,
+                     _eliminate, _pivot, _reduce, column_space,
+                     kernel_basis, solve_columns)
 from .poly import (T, IntPolynomial, exact_div, poly_gcd,
                    squarefree_decomposition)
 
@@ -57,30 +56,29 @@ def generalized_kernel(a):
     B_j the canonical basis of K_j: B_j has full column rank, so dropping
     the last coordinates keeps that kernel's vectors independent, and every
     leading entry of its reduced column echelon basis lies among the first
-    n, where the truncated basis is the canonical one of K_(j+1).  That
-    kernel has dimension n + dim K_j - rank [a | B_j], so the chain stops
-    at the first j where the forward elimination of the rows of [a | B_j]
-    finds rank n, and no power of a is formed.
+    n, where the truncated basis is the canonical one of K_(j+1).  The
+    chain stops at the first kernel of dimension dim K_j, and forms no
+    power of a.
 
     The chain shares no step with generalized_image, which eliminates
     columns of integer spanning sets of the images and takes one column
-    space; this one eliminates rows and takes kernels, with its own stop.
-    So dim ker a^n + dim im a^n = n, checked by verify, compares two
-    independent computations rather than holding by rank-nullity alone."""
+    space; this one takes kernels, with its own stop.  So dim ker a^n +
+    dim im a^n = n, checked by verify, compares two independent
+    computations rather than holding by rank-nullity alone."""
     a._require_square("generalized kernel")
     n = a.rows
     rows = a._scaled_int_rows()[1]
-    basis = RationalMatrix.zeros(n, 0)
+    denom, basis, k = 1, [()] * n, 0
     while True:
         # [D a | d B_j], D and d the denominators: scaling a block keeps
         # the first n coordinates of the kernel.
-        step = [r + b for r, b in zip(rows, basis._scaled_int_rows()[1])]
-        if len(_independent(step, n + basis.cols)) == n:
-            return Subspace._from_echelon(n, basis)
-        kernel = kernel_basis(
-            RationalMatrix._from_scaled(step, n + basis.cols, 1)).basis
+        kernel = kernel_basis(RationalMatrix._from_scaled(
+            [r + b for r, b in zip(rows, basis)], n + k, 1)).basis
+        if kernel.cols == k:
+            return Subspace._from_echelon(
+                n, RationalMatrix._from_scaled(basis, k, denom))
         denom, vectors = kernel._scaled_int_rows()
-        basis = RationalMatrix._from_scaled(vectors[:n], kernel.cols, denom)
+        basis, k = vectors[:n], kernel.cols
 
 
 def generalized_image(a):
@@ -100,7 +98,7 @@ def generalized_image(a):
     n = a.rows
     rows = a._scaled_int_rows()[1]
     dim, basis, span = n, None, _columns(rows, n)
-    while len(keep := _independent(span, n)) != dim:
+    while len(keep := _eliminate(span, n)[1]) != dim:
         dim, basis = len(keep), [span[j] for j in keep]
         span = [_apply(rows, v) for v in basis]
     if basis is None:
@@ -227,24 +225,14 @@ def _quotient(denom, rows, order, columns):
 
 def _annihilator(columns, dependent):
     """Ascending coefficients of the monic annihilator q = t^d - sum c_k
-    t^k of v, read off _krylov's eliminated chain: B^d v = sum c_k B^k v,
-    and the elimination turns that into the upper triangular system sum
-    columns[j][k] c_j = dependent[k], k < d, solved by back substitution.
-
-    B is an integer matrix, so the annihilator of v divides det(tI - B)
-    and is monic in Z[t] by Gauss's lemma: the c_k are integers and every
-    division is exact.  A remainder is an arithmetic fault.
+    t^k of v, read off _krylov's eliminated chain: c holds the coordinates
+    of B^d v on v, ..., B^(d-1) v, back substituted with scale 1.  B is an
+    integer matrix, so the annihilator of v divides det(tI - B) and is
+    monic in Z[t] by Gauss's lemma: the c_k are integers, and a remainder
+    is an arithmetic fault.
     """
-    d = len(columns)
-    c = [0] * d
-    for k in range(d - 1, -1, -1):
-        s = dependent[k]
-        for j in range(k + 1, d):
-            s -= columns[j][k] * c[j]
-        c[k], r = divmod(s, columns[k][k])
-        if r:
-            raise InvariantError("the Krylov coordinates are not integral")
-    return [-x for x in c] + [1]
+    return [-x for x in _back_substitute(
+        columns, dependent[:len(columns)], 1)] + [1]
 
 
 def _split_cyclic(denom, rows, start):

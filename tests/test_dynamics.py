@@ -657,14 +657,10 @@ def test_verify_computes_each_fact_once(monkeypatch):
         "power", RationalMatrix.__pow__, lambda m, k: m == a))
     monkeypatch.setattr(spectral, "generalized_image", counting(
         "image", spectral.generalized_image))
-    independent = spectral._independent
-
-    def forward(vectors, n):
-        chain = sys._getframe(1).f_code.co_name.split("_")[1]
-        counts[f"{chain} steps"] = counts.get(f"{chain} steps", 0) + 1
-        return independent(vectors, n)
-
-    monkeypatch.setattr(spectral, "_independent", forward)
+    monkeypatch.setattr(spectral, "_eliminate", counting(
+        "image steps", spectral._eliminate))
+    monkeypatch.setattr(spectral, "kernel_basis", counting(
+        "kernel steps", spectral.kernel_basis))
     for module in (spectral, dynamics):
         monkeypatch.setattr(module, "invariant_factors", counting(
             "invariant_factors", spectral.invariant_factors))
@@ -673,12 +669,12 @@ def test_verify_computes_each_fact_once(monkeypatch):
     for _ in range(2):
         counts.clear()
         assert build_verify_report(system)["ok"]
-        # Neither chain forms a power of A; each takes one forward
-        # elimination per step.  The kernel chain ranks A (2, so ker A has
-        # dimension 2) and [A | B_1] (4: ker A^2 = ker A, so it stops); the
-        # image chain ranks A's columns (2) and A times its two independent
-        # ones (2: A maps im A onto itself).  A+ is read off pivot rows and
-        # solved for once, by InducedMap.verify.
+        # Neither chain forms a power of A.  The kernel chain takes one
+        # kernel per step: ker A (dimension 2) and ker [A | B_1] (dimension
+        # 2 = dim B_1: ker A^2 = ker A, so it stops).  The image chain takes
+        # one forward elimination per step: it ranks A's columns (2) and A
+        # times its two independent ones (2: A maps im A onto itself).  A+
+        # is read off pivot rows and solved for once, by InducedMap.verify.
         assert counts == {"charpoly": 2, "image": 1, "kernel steps": 2,
                           "image steps": 2, "solve": 1}
 

@@ -23,9 +23,13 @@ from oracles import (SMALL_PRIMES, block_diag, char_reversed_oracle,
                      conjugate, is_prime_trial, kernel_oracle,
                      mat_mul_oracle, primes_below_oracle, random_int_matrix,
                      random_rational_matrix, random_unimodular, rref_oracle,
-                     rref_rank, solve_oracle)
+                     rref_rank, solve_oracle, zero_column)
 
 HORSESHOE = RationalMatrix.from_rows([[1, -1], [1, -1]])
+# Minors far past the hypothesis sizes: entries in [-2, 2], n = 16, and
+# the same matrix with column 0 zeroed.
+NONSINGULAR_16 = random_int_matrix(random.Random(1), 16, -2, 2)
+SINGULAR_16 = zero_column(NONSINGULAR_16, 0)
 TORUS = RationalMatrix.from_rows([[0, 1], [-1, 1]])
 FOURHANDLE = RationalMatrix.from_rows(
     [[1, 0, -1, -1], [0, 1, 0, 0], [0, 1, 0, 0], [0, 1, 0, 0]])
@@ -335,9 +339,9 @@ def matrices(draw, rows=None, cols=None):
 
 
 class TestGaussJordanAgainstOracle:
-    """Column echelon form, kernel and solve share one fraction-free
-    Gauss-Jordan kernel, and rank takes its forward half; check each
-    against Fraction Gauss-Jordan."""
+    """Column echelon form, kernel and solve share one forward
+    fraction-free elimination and its back substitution, and rank takes
+    its pivot count; check each against Fraction Gauss-Jordan."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(matrices())
@@ -359,12 +363,16 @@ class TestGaussJordanAgainstOracle:
         for vectors, n in ((rows, a.cols),
                            (linalg._columns(rows, a.cols), a.rows)):
             ranks = [rref_rank(vectors[:k]) for k in range(len(vectors) + 1)]
-            assert linalg._independent(vectors, n) == [
+            _, found, dependent = linalg._eliminate(vectors, n)
+            assert found == [
                 k for k in range(len(vectors)) if ranks[k + 1] > ranks[k]]
+            assert sorted(found + [k for k, _ in dependent]) == \
+                list(range(len(vectors)))
         assert a.rank() == ranks[-1]
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(matrices())
+    @example(SINGULAR_16)
     def test_column_rref(self, a):
         basis = column_space(a).basis
         assert basis == column_rref_oracle(a)
@@ -374,6 +382,7 @@ class TestGaussJordanAgainstOracle:
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(matrices())
+    @example(SINGULAR_16)
     def test_kernel_basis(self, a):
         space = kernel_basis(a)
         assert space.basis == kernel_oracle(a)
@@ -400,6 +409,17 @@ class TestGaussJordanAgainstOracle:
             x = solve_columns(b, c)
             assert x == expected
             assert b * x == c
+
+    def test_solve_and_inverse_with_large_minors(self):
+        b = column_space(SINGULAR_16).basis
+        c = SINGULAR_16 * b
+        assert solve_columns(b, c) == solve_oracle(b, c)
+        identity = RationalMatrix.identity(16)
+        assert inverse(NONSINGULAR_16) == solve_oracle(NONSINGULAR_16,
+                                                       identity)
+        assert solve_oracle(SINGULAR_16, identity) == "inconsistent"
+        with pytest.raises(DomainError):
+            inverse(SINGULAR_16)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_empty_shapes(self, shape):
@@ -807,20 +827,25 @@ def test_charpoly_forms_no_matrix_product(monkeypatch):
     RationalMatrix.from_rows([[2, 1, 0], [1, 3, 1], [0, 1, 4]]),
 ], ids=["rank_deficient", "zero", "full_rank"])
 def test_one_elimination_per_subspace(monkeypatch, a):
-    # The kernel's canonical basis comes straight out of its elimination,
-    # and neither subspace re-ranks the basis that elimination built.
+    # The echelon basis, the kernel and the solve each come out of one
+    # forward elimination and its back substitution, and none re-ranks
+    # the basis that elimination built.
     calls = []
-    eliminate = linalg._gauss_jordan
+    eliminate = linalg._eliminate
 
-    def counting(m):
-        calls.append(len(m))
-        return eliminate(m)
+    def counting(vectors, n):
+        calls.append(n)
+        return eliminate(vectors, n)
 
-    monkeypatch.setattr(linalg, "_gauss_jordan", counting)
-    for build in (column_space, kernel_basis):
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    for build in (column_space, kernel_basis,
+                  lambda m: solve_columns(m, m)):
         calls.clear()
-        build(a)
-        assert len(calls) == 1, build.__name__
+        try:
+            build(a)
+        except InvariantError:      # a's columns are dependent
+            pass
+        assert len(calls) == 1
 
 
 class TestPrimeSource:

@@ -279,10 +279,10 @@ def _chain_counts(monkeypatch, a):
 
     def forward(vectors, n):
         counts["forward"] += 1
-        return linalg._independent(vectors, n)
+        return linalg._eliminate(vectors, n)
 
     monkeypatch.setattr(RationalMatrix, "__pow__", power)
-    monkeypatch.setattr(spectral, "_independent", forward)
+    monkeypatch.setattr(spectral, "_eliminate", forward)
     dim = generalized_image(a).dim
     return dim, counts["power"], counts["forward"]
 

@@ -100,14 +100,14 @@ def test_library_imports_only_the_standard_library():
     assert outside == {}
 
 
-FORWARD_ELIMINATION = ("_reduce", "_pivot", "_independent")
+ELIMINATION = ("_reduce", "_pivot", "_eliminate", "_back_substitute")
 
 
-def test_only_linalg_names_the_gauss_jordan_elimination():
-    # spectral reads each quotient map off the Krylov chain's own factor;
-    # a module that names linalg._gauss_jordan would eliminate it again.
-    # The forward elimination behind every rank and chain stop is linalg's
-    # alone too: other modules import it and define none of their own.
+def test_only_linalg_defines_the_elimination():
+    # Every rank, subspace, solve and Krylov chain runs on one forward
+    # fraction-free elimination and one back substitution, both linalg's:
+    # other modules import them and define none of their own, and the
+    # Gauss-Jordan elimination they replaced is named nowhere.
     package = (pathlib.Path(__file__).resolve().parent.parent
                / "src" / "conley")
     naming, defining = set(), {}
@@ -117,10 +117,10 @@ def test_only_linalg_names_the_gauss_jordan_elimination():
                    for field in ("id", "attr", "name")):
                 naming.add(path.name)
             if (isinstance(node, ast.FunctionDef)
-                    and node.name in FORWARD_ELIMINATION):
+                    and node.name in ELIMINATION):
                 defining.setdefault(node.name, []).append(path.name)
-    assert naming == {"linalg.py"}
-    assert defining == {name: ["linalg.py"] for name in FORWARD_ELIMINATION}
+    assert naming == set()
+    assert defining == {name: ["linalg.py"] for name in ELIMINATION}
 
 
 PUBLIC_API = [
