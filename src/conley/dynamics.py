@@ -120,12 +120,19 @@ def build_structure_matrix(shift):
 
 
 def count_periodic(shift, n):
-    """Points of period dividing n in the vertex shift: trace of the n-th
-    power of the transition matrix."""
+    """Points of period dividing n in the vertex shift: tr G^n, G the
+    transition matrix, as the trace of the product of the half powers
+    G^(n - h) and G^h, h = floor(n / 2), which is never formed.  G^h costs
+    the products of one square and multiply, G^(n - h) = G^h G one more
+    when n is odd, and n = 1 reads tr G."""
     if n < 1:
         raise DomainError("period must be at least 1")
-    g = RationalMatrix.from_rows([list(r) for r in shift.adjacency])
-    return int((g ** n).trace())
+    # The spec has checked that every entry is 0 or 1.
+    g = RationalMatrix._from_scaled(shift.adjacency, shift.n, 1)
+    if n == 1:
+        return int(g.trace())
+    half = g ** (n // 2)
+    return int((half * g if n % 2 else half).product_trace(half))
 
 
 # Stack entries the brute-force enumeration may pop unless the caller

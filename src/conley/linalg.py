@@ -4,8 +4,8 @@ A matrix is stored as its least common denominator D > 0 and the
 row-major integer entries of D times the matrix, in lowest terms (D and
 the entries share no factor), so equal matrices have equal storage and an
 integer matrix has D = 1; entries leave as Fractions.  Every kernel reads
-the stored integers.  Products (powers too) and the characteristic polynomial
-bring in the matching power of D once, when the result is built.  The
+the stored integers: a product slices rows and columns off them once, and
+it and the characteristic polynomial bring in the power of D once.  The
 characteristic polynomial is found by Hessenberg reduction modulo products
 of primes, pivoting on units, and rebuilt by the CRT under a proven bound
 on its coefficients.
@@ -148,12 +148,10 @@ class RationalMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("matrix addition shape mismatch")
-        # The two halves of [self | other] share one denominator.
-        c = self.cols
-        denom, rows = self.augment(other)._scaled_int_rows()
-        return RationalMatrix._from_scaled(
-            [[x + y for x, y in zip(row[:c], row[c:])] for row in rows],
-            c, denom)
+        denom = lcm(self._d, other._d)
+        s, t = denom // self._d, denom // other._d
+        return RationalMatrix._from_flat(self.rows, self.cols, denom, tuple(
+            [s * x + t * y for x, y in zip(self._e, other._e)]))
 
     def __sub__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -164,9 +162,8 @@ class RationalMatrix:
         if isinstance(other, RationalMatrix):
             return mat_mul(self, other)
         d, (num,) = _scaled([other])
-        denom, rows = self._scaled_int_rows()
-        return RationalMatrix._from_scaled(
-            [[num * x for x in row] for row in rows], self.cols, denom * d)
+        return RationalMatrix._from_flat(self.rows, self.cols, self._d * d,
+                                         tuple([num * x for x in self._e]))
 
     def __rmul__(self, other):
         return self * other
@@ -224,7 +221,13 @@ class RationalMatrix:
     def _from_scaled(cls, rows, ncols, denom):
         """The matrix (1 / denom) * rows, for int rows with ncols columns
         and a nonzero int denom, stored in lowest terms."""
-        flat = tuple(chain.from_iterable(rows))
+        return cls._from_flat(len(rows), ncols, denom,
+                              tuple(chain.from_iterable(rows)))
+
+    @classmethod
+    def _from_flat(cls, nrows, ncols, denom, flat):
+        """_from_scaled for the row-major tuple of the rows; only a
+        denominator other than 1 takes a gcd."""
         if denom != 1:
             g = gcd(denom, *flat)
             if denom < 0:
@@ -233,7 +236,7 @@ class RationalMatrix:
                 denom //= g
                 flat = tuple(x // g for x in flat)
         m = object.__new__(cls)
-        m.rows, m.cols, m._d, m._e = len(rows), ncols, denom, flat
+        m.rows, m.cols, m._d, m._e = nrows, ncols, denom, flat
         return m
 
     def rank(self):
@@ -303,25 +306,22 @@ def _crt(a, m, b, n):
 
 
 def mat_mul(a, b):
-    """Exact product a * b; ``RationalMatrix.__mul__`` forwards here."""
-    if a.cols != b.rows:
-        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by "
-                         f"{b.rows}x{b.cols}")
-    da, ra = a._scaled_int_rows()
-    db, rb = b._scaled_int_rows()
-    return RationalMatrix._from_scaled(
-        _int_product(ra, _columns(rb, b.cols)), b.cols, da * db)
+    """Exact product a * b on the stored integers, each row of D a and
+    each column of E b sliced once; ``RationalMatrix.__mul__`` forwards
+    here."""
+    k, m = a.cols, b.cols
+    if k != b.rows:
+        raise ShapeError(f"cannot multiply {a.rows}x{k} by {b.rows}x{m}")
+    x, y = a._e, b._e
+    cols = [y[j::m] for j in range(m)]
+    rows = [x[i * k:(i + 1) * k] for i in range(a.rows)]
+    return RationalMatrix._from_flat(a.rows, m, a._d * b._d, tuple(
+        [sum(map(mul, row, col)) for row in rows for col in cols]))
 
 
 def _columns(rows, ncols):
     """The columns of an integer row list with ncols columns."""
     return [[row[j] for row in rows] for j in range(ncols)]
-
-
-def _int_product(rows, cols):
-    """Integer matrix product, given the left factor's rows and the right
-    factor's columns."""
-    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
 
 
 def _reduce(columns, y):

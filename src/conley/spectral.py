@@ -56,9 +56,9 @@ def generalized_kernel(a):
     B_j the canonical basis of K_j: B_j has full column rank, so dropping
     the last coordinates keeps that kernel's vectors independent, and every
     leading entry of its reduced column echelon basis lies among the first
-    n, where the truncated basis is the canonical one of K_(j+1).  The
-    chain stops at the first kernel of dimension dim K_j, and forms no
-    power of a.
+    n, where the truncated basis is the canonical one of K_(j+1).  K_1 is
+    ker a itself, which ends the chain when a is nonsingular; otherwise it
+    stops at the first kernel of dimension dim K_j.  It forms no power of a.
 
     The chain shares no step with generalized_image, which eliminates
     columns of integer spanning sets of the images and takes one column
@@ -68,17 +68,19 @@ def generalized_kernel(a):
     a._require_square("generalized kernel")
     n = a.rows
     rows = a._scaled_int_rows()[1]
-    denom, basis, k = 1, [()] * n, 0
-    while True:
+    space = kernel_basis(a)     # K_1, all of the chain for a nonsingular a
+    while k := space.dim:
         # [D a | d B_j], D and d the denominators: scaling a block keeps
         # the first n coordinates of the kernel.
         kernel = kernel_basis(RationalMatrix._from_scaled(
-            [r + b for r, b in zip(rows, basis)], n + k, 1)).basis
+            [r + b for r, b in zip(rows, space.basis._scaled_int_rows()[1])],
+            n + k, 1)).basis
         if kernel.cols == k:
-            return Subspace._from_echelon(
-                n, RationalMatrix._from_scaled(basis, k, denom))
+            break
         denom, vectors = kernel._scaled_int_rows()
-        basis, k = vectors[:n], kernel.cols
+        space = Subspace._from_echelon(n, RationalMatrix._from_scaled(
+            vectors[:n], kernel.cols, denom))
+    return space
 
 
 def generalized_image(a):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conley import dynamics, spectral
+from conley import dynamics, linalg, report, spectral
 from conley.dynamics import (BasicSetAnalysis, BasicSetSpec, ConleyIndex,
                              IndexEntry, StepBudget, StructureMatrix,
                              SystemSpec, VertexShiftSpec,
@@ -18,10 +18,10 @@ from conley.dynamics import (BasicSetAnalysis, BasicSetSpec, ConleyIndex,
                              zeta_via_index)
 from conley.errors import (DomainError, InvariantError, ResourceError,
                            ValidationError)
-from conley.linalg import RationalMatrix
+from conley.linalg import RationalMatrix, char_reversed
 from conley.poly import IntPolynomial, RationalFunction, poly_mul
 from conley.report import build_index_report, build_verify_report
-from conley.spectral import is_similar
+from conley.spectral import is_similar, jordan_profile
 
 from oracles import (block_diag, companion, conjugate,
                      enumerate_periodic_dfs, jordan_block,
@@ -156,6 +156,36 @@ class TestPeriodicCounts:
         assert enumerate_periodic_oracle(full8, 6) == 8 ** 6
         with pytest.raises(ResourceError):
             enumerate_periodic_oracle(full8, 7)
+
+    def test_half_powers_match_repeated_oracle_products(self):
+        # tr(G^(n - h) G^h), h = n // 2, against the trace of G, G G, ...
+        # multiplied out over Fractions; also on no symbols and on a
+        # 2-cycle with an edge into a sink (vertex 2).
+        rng = random.Random(233)
+        graphs = [random_shift_graph(rng, 5)[0] for _ in range(25)]
+        graphs += [[], [[0, 1, 1], [1, 0, 0], [0, 0, 0]]]
+        for adjacency in graphs:
+            k = len(adjacency)
+            shift = VertexShiftSpec.from_lists(adjacency, [1] * k)
+            g = RationalMatrix(k, k, [x for row in adjacency for x in row])
+            power = g
+            for n in range(1, 17):
+                assert count_periodic(shift, n) == power.trace()
+                power = mat_mul_oracle(power, g)
+
+    def test_products_are_those_of_the_half_power(self, monkeypatch):
+        # G^h by square and multiply takes bit_length(h) - 1 squarings
+        # and bit_count(h) - 1 multiplications; an odd n > 1 adds G^h G,
+        # and n = 1 reads tr G.  No G^n is formed.
+        products = _count_products(monkeypatch)
+        shift = VertexShiftSpec.from_lists(
+            [[1, 1, 0], [0, 1, 1], [1, 0, 1]], [1, 1, 1])
+        for n in range(1, 70):
+            products.clear()
+            count_periodic(shift, n)
+            h = n // 2
+            half = h.bit_length() + h.bit_count() - 2 if h else 0
+            assert len(products) == half + (n % 2 == 1 and n > 1), n
 
     def test_budget_is_shared_across_calls(self):
         cycle = VertexShiftSpec.from_lists([[0, 1], [1, 0]], [1, 1])
@@ -677,6 +707,77 @@ def test_verify_computes_each_fact_once(monkeypatch):
         # is read off pivot rows and solved for once, by InducedMap.verify.
         assert counts == {"charpoly": 2, "image": 1, "kernel steps": 2,
                           "image steps": 2, "solve": 1}
+
+
+def _count_products(monkeypatch):
+    """A list that gets one entry, the shape of the product, per call of
+    linalg.mat_mul while the monkeypatch holds; every product of two
+    RationalMatrix values goes through it."""
+    products = []
+    product = linalg.mat_mul
+
+    def counting(a, b):
+        products.append((a.rows, b.cols))
+        return product(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counting)
+    return products
+
+
+def test_verify_forms_six_products_of_the_transition_matrix(monkeypatch):
+    # Periods 1..6 form G^h, h = n // 2, and G^h G for odd n > 1: 0, 0,
+    # 1, 1, 2 and 2 products, 6 where G^1..G^6 took 0 + 1 + 2 + 2 + 3 + 3.
+    products = _count_products(monkeypatch)
+    counted = []
+
+    def periodic(shift, n):
+        start = len(products)
+        result = dynamics.count_periodic(shift, n)
+        counted.append(len(products) - start)
+        return result
+
+    monkeypatch.setattr(report, "count_periodic", periodic)
+    shift = VertexShiftSpec.from_lists(
+        [[1, 1, 0, 0, 1], [0, 1, 1, 0, 0], [1, 0, 0, 1, 1], [0, 1, 0, 1, 0],
+         [1, 0, 1, 0, 1]], [1, -1, 1, 1, -1])
+    system = SystemSpec(basic_sets=(BasicSetSpec(
+        "s", build_structure_matrix(shift), 1, shift),))
+    result = build_verify_report(system, max_enum=6)
+    assert result["ok"]
+    assert counted == [0, 0, 1, 1, 2, 2]
+
+
+@st.composite
+def _elementary_pairs(draw):
+    """Integer R (n x m) and S (m x n), n and m in 1..6, entries in
+    [-2, 2]."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = st.integers(-2, 2)
+
+    def matrix(rows, cols):
+        return RationalMatrix.from_rows(draw(st.lists(
+            st.lists(entries, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)))
+
+    return matrix(n, m), matrix(m, n)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_elementary_pairs())
+def test_invariants_survive_elementary_strong_shift_equivalence(pair):
+    # A = R S and B = S R are strong shift equivalent, so A+ and B+ are
+    # similar and det(I - A t) = det(I - B t).  The printed A+, the zero
+    # class and n are not invariants and are not compared.
+    r, s = pair
+    seen = []
+    for structure in (r * s, s * r):
+        b = BasicSetSpec("s", StructureMatrix(structure), 1)
+        index = conley_index(b, 1)
+        factors = () if index.is_trivial else index.entry(1).invariant_factors
+        assert build_verify_report(SystemSpec(basic_sets=(b,)))["ok"]
+        seen.append((factors, jordan_profile(structure).without_zero_class(),
+                     char_reversed(structure)))
+    assert seen[0] == seen[1]
 
 
 def _rank_callers(monkeypatch):

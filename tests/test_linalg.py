@@ -126,6 +126,38 @@ class TestIntegerKernel:
     def test_empty_power(self):
         assert RationalMatrix.zeros(0, 0) ** 3 == RationalMatrix.zeros(0, 0)
 
+    @pytest.mark.parametrize("a, b", [
+        (RationalMatrix.zeros(0, 3),
+         RationalMatrix.from_rows([[Fraction(1, 2), 1], [0, 2], [3, 1]])),
+        (RationalMatrix(2, 0, []), RationalMatrix(0, 3, [])),
+        (RationalMatrix.zeros(0, 0), RationalMatrix.zeros(0, 0)),
+        (RationalMatrix.from_rows([[-7]]), RationalMatrix.from_rows([[3]])),
+        (RationalMatrix.from_rows([[1, 2], [3, 4], [0, -1]]),
+         RationalMatrix.from_rows([[Fraction(1, 2), Fraction(-1, 3)],
+                                   [Fraction(1, 4), Fraction(5, 6)]])),
+        (RationalMatrix.from_rows([[Fraction(3, 2)]]),
+         RationalMatrix.from_rows([[Fraction(4, 3)]])),
+        (RationalMatrix.from_rows([[Fraction(2, 3), Fraction(1, 3)],
+                                   [Fraction(1, 3), Fraction(2, 3)]]),
+         RationalMatrix.from_rows([[3, 6], [-3, 3]])),
+        (RationalMatrix.from_rows([[Fraction(1, 6), Fraction(5, 6)]]),
+         RationalMatrix.from_rows([[3], [Fraction(3, 10)]])),
+    ], ids=["0xk_kxm", "nx0_0xm", "0x0", "1x1", "int_rational",
+            "cancel_1x1", "cancel", "partly_cancel"])
+    def test_product_on_the_stored_integers(self, a, b):
+        got = mat_mul(a, b)
+        expected = mat_mul_oracle(a, b)
+        assert got == expected
+        # Lowest terms: equal matrices store the same denominator and
+        # entries, so a product with denominator 1 is the integer matrix.
+        assert (got._d, got._e) == (expected._d, expected._e)
+        assert all(type(x) is int for x in got._e)
+        if got.is_integer:
+            rows = [[int(x) for x in r] for r in expected.tolist()]
+            integer = RationalMatrix(got.rows, got.cols,
+                                     [x for r in rows for x in r])
+            assert got == integer and hash(got) == hash(integer)
+
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.integers(0, 4).flatmap(lambda n: st.lists(
                st.fractions(min_value=-6, max_value=6, max_denominator=7),
@@ -799,15 +831,16 @@ class TestModularCharpoly:
 
 def test_charpoly_forms_no_matrix_product(monkeypatch):
     # Faddeev-LeVerrier multiplied n integer matrices, O(n^4); the
-    # modular route must form none.
+    # modular route must form none.  Every product of two matrices goes
+    # through linalg.mat_mul.
     calls = []
-    product = linalg._int_product
+    product = linalg.mat_mul
 
-    def counting(rows, cols):
-        calls.append(len(rows))
-        return product(rows, cols)
+    def counting(a, b):
+        calls.append(a.rows)
+        return product(a, b)
 
-    monkeypatch.setattr(linalg, "_int_product", counting)
+    monkeypatch.setattr(linalg, "mat_mul", counting)
     a = random_int_matrix(random.Random(59), 12, -9, 9)
     assert mat_mul(a, a) == a ** 2 and calls
     calls.clear()

@@ -60,6 +60,18 @@ def test_tracer_sees_the_layers_under_each_report(command, fixture_path):
         assert boundaries[name]["calls"] > 0, name
 
 
+def test_tracer_sees_the_periodic_check_under_verify(fixture_path):
+    # The four-handle has no graph; on the horseshoe's, verify counts
+    # periodic points by traces of matrix products and by enumeration.
+    tracer = Tracer()
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", fixture_path("horseshoe.json")]) == 0
+    boundaries = tracer.summary()["boundaries"]
+    for name in ("dynamics.count_periodic",
+                 "dynamics.enumerate_periodic_oracle", "linalg.mat_mul"):
+        assert boundaries[name]["calls"] > 0, name
+
+
 def test_readme_lists_exactly_the_verify_checks(fixture_path):
     # The README's check list documents verify's output, so a check added
     # to or dropped from build_verify_report must change it too.
