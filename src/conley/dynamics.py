@@ -22,6 +22,7 @@ zeta routes start from different facts, det(I - A t) and det(I - A+ t).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
 from operator import mul
@@ -124,15 +125,15 @@ def count_periodic(shift, n):
     transition matrix, as the trace of the product of the half powers
     G^(n - h) and G^h, h = floor(n / 2), which is never formed.  G^h costs
     the products of one square and multiply, G^(n - h) = G^h G one more
-    when n is odd, and n = 1 reads tr G."""
+    when n is odd, and n = 1 reads tr G; both traces are int sums."""
     if n < 1:
         raise DomainError("period must be at least 1")
     # The spec has checked that every entry is 0 or 1.
     g = RationalMatrix._from_scaled(shift.adjacency, shift.n, 1)
     if n == 1:
-        return int(g.trace())
+        return g._trace_sum()
     half = g ** (n // 2)
-    return int((half * g if n % 2 else half).product_trace(half))
+    return (half * g if n % 2 else half)._product_trace_sum(half)
 
 
 # Stack entries the brute-force enumeration may pop unless the caller
@@ -146,6 +147,13 @@ class StepBudget:
     def __init__(self, steps=ORACLE_MAX_STEPS):
         self.steps = steps
         self.left = steps
+
+
+def _spent(n, budget):
+    """The ResourceError of an enumeration to period n that spent budget;
+    formatted only when raised."""
+    return ResourceError(f"enumerating periods up to {_shown(n)} takes "
+                         f"more than {_shown(budget.steps)} steps")
 
 
 def enumerate_periodic_oracle(shift, n, budget=None):
@@ -162,10 +170,8 @@ def enumerate_periodic_oracle(shift, n, budget=None):
         raise DomainError("period must be at least 1")
     if budget is None:
         budget = StepBudget()
-    message = (f"enumerating periods up to {_shown(n)} takes more than "
-               f"{_shown(budget.steps)} steps")
     if n > budget.left:
-        raise ResourceError(message)
+        raise _spent(n, budget)
     adj = shift.adjacency
     successors = [[j for j in range(shift.n) if row[j]] for row in adj]
     total = 0
@@ -177,7 +183,7 @@ def enumerate_periodic_oracle(shift, n, budget=None):
         while stack:
             steps += 1
             if steps > budget.left:
-                raise ResourceError(message)
+                raise _spent(n, budget)
             prev, remaining = stack.pop()
             if remaining > 1:
                 for nxt in successors[prev]:
@@ -187,7 +193,7 @@ def enumerate_periodic_oracle(shift, n, budget=None):
                 nexts = successors[prev]
                 steps += len(nexts)
                 if steps > budget.left:
-                    raise ResourceError(message)
+                    raise _spent(n, budget)
                 for nxt in nexts:
                     total += adj[nxt][first]
             else:
@@ -358,10 +364,13 @@ def zeta_via_index(basic, ambient_dim):
 
 def _power_traces(a, m):
     """Traces of a, a^2, ..., a^m, m >= 1, from the powers up to h =
-    ceil(m / 2) alone (h - 1 products): tr a^(h+k) = tr(a^h a^k)."""
+    ceil(m / 2) alone (h - 1 products): tr a^(h+k) = tr(a^h a^k).  Each is
+    an int sum over its denominator, a Fraction only where that is not 1."""
     powers = list(accumulate(repeat(a, (m + 1) // 2), mul))
-    return ([p.trace() for p in powers]
-            + [powers[-1].product_trace(p) for p in powers[:m // 2]])
+    top = powers[-1]
+    traces = [(p._trace_sum(), p._d) for p in powers] + [
+        (top._product_trace_sum(p), top._d * p._d) for p in powers[:m // 2]]
+    return [t if d == 1 else Fraction(t, d) for t, d in traces]
 
 
 def lefschetz_series(basic, ambient_dim, m):
@@ -371,7 +380,8 @@ def lefschetz_series(basic, ambient_dim, m):
     _check_index_bound(basic, ambient_dim)
     if m < 1:
         raise DomainError("series length must be at least 1")
-    return [int(t) for t in _power_traces(basic.structure.matrix, m)]
+    # The structure matrix is an integer matrix, so every trace is an int.
+    return _power_traces(basic.structure.matrix, m)
 
 
 @dataclass

@@ -3,12 +3,12 @@
 A matrix is stored as its least common denominator D > 0 and the
 row-major integer entries of D times the matrix, in lowest terms (D and
 the entries share no factor), so equal matrices have equal storage and an
-integer matrix has D = 1; entries leave as Fractions.  Every kernel reads
-the stored integers: a product slices rows and columns off them once, and
-it and the characteristic polynomial bring in the power of D once.  The
-characteristic polynomial is found by Hessenberg reduction modulo products
-of primes, pivoting on units, and rebuilt by the CRT under a proven bound
-on its coefficients.
+integer matrix has D = 1.  Every kernel reads the stored integers, and a
+product slices rows and columns off them once.  One Hessenberg core,
+modulo products of primes, pivoting on units and rebuilt by the CRT under
+a proven bound, gives the int coefficients of det(tI - D A), so an integer
+matrix reads det(I - A t) as ints; its power traces are int sums of the
+stored entries, and Fractions are built only at the public edge.
 
 Elimination is fraction-free (Bareiss), so every intermediate is an
 integer minor of the input, and there is one of it.  The forward
@@ -77,12 +77,10 @@ class RationalMatrix:
     @classmethod
     def from_rows(cls, rows):
         rows = [list(r) for r in rows]
-        nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise ShapeError("ragged rows in matrix literal")
-        return cls(nrows, ncols, [x for r in rows for x in r])
+        if any(len(r) != ncols for r in rows):
+            raise ShapeError("ragged rows in matrix literal")
+        return cls(len(rows), ncols, [x for r in rows for x in r])
 
     @classmethod
     def identity(cls, n):
@@ -180,18 +178,26 @@ class RationalMatrix:
                                            self.rows, denom)
 
     def trace(self):
+        return Fraction(self._trace_sum(), self._d)
+
+    def _trace_sum(self):
+        """D tr(self) as an int, D the stored denominator."""
         self._require_square("trace")
-        return Fraction(sum(self._e[::self.cols + 1]), self._d)
+        return sum(self._e[::self.cols + 1])
 
     def product_trace(self, other):
-        """tr(self * other) without forming the product: the sum of
-        self_rc other_cr over all r, c."""
+        """tr(self * other) without forming the product."""
+        return Fraction(self._product_trace_sum(other), self._d * other._d)
+
+    def _product_trace_sum(self, other):
+        """D E tr(self * other) as an int, D and E the stored denominators:
+        the sum of the stored self_rc other_cr over all r, c."""
         if (self.rows, self.cols) != (other.cols, other.rows):
             raise ShapeError(f"product trace needs a {self.cols}x{self.rows}"
                              f" matrix, got {other.rows}x{other.cols}")
         c = other.cols
-        return Fraction(sum(map(mul, self._e, chain.from_iterable(
-            other._e[r::c] for r in range(c)))), self._d * other._d)
+        return sum(map(mul, self._e, chain.from_iterable(
+            other._e[r::c] for r in range(c))))
 
     def augment(self, other):
         if not isinstance(other, RationalMatrix):
@@ -246,26 +252,28 @@ class RationalMatrix:
 
     def charpoly(self):
         """Monic characteristic polynomial det(tI - self), ascending
-        Fraction coefficients, computed modulo primes on the integer
-        matrix B = D self.
+        Fraction coefficients: c_k / D^k at t^(n-k), from _char_core."""
+        denom, coeffs = self._char_core()
+        return tuple(Fraction(c) if denom == 1 else Fraction(c, denom ** k)
+                     for k, c in reversed(list(enumerate(coeffs))))
 
-        The coefficient of t^(n-k) for self is c_k / D^k, c_k that of
-        det(tI - B).  Up to sign, c_k is the sum of the principal k x k
-        minors of B, so Hadamard's inequality on each minor gives
-        |c_k| <= e_k(r) <= prod(1 + r_i), r_i the Euclidean norm of row i
-        of B, and 1 + r_i <= 2 + isqrt(r_i^2).  Primes just below 2^78 are
-        taken until their product passes twice that bound, in groups of
-        at most _GROUP, and one Hessenberg pass runs modulo the product of
-        each group; a group whose pass finds no unit pivot is redone one
-        prime at a time.  The CRT combines the residues, and their
-        symmetric residues are the c_k.  The characteristic polynomial of
-        B mod m is that of B reduced mod m, so every prime serves.
+    def _char_core(self):
+        """(D, [1, c_1, ..., c_n]): the stored denominator and the int
+        coefficients of det(tI - B), B = D self, from t^n down (those of
+        det(I - B t) from t^0 up).  Up to sign, c_k is the sum of the
+        principal k x k minors of B, so Hadamard's inequality gives
+        |c_k| <= prod(2 + isqrt(r_i^2)), r_i the Euclidean norm of row i.
+        Primes just below 2^78 are taken until their product passes twice
+        that bound, in groups of at most _GROUP; one Hessenberg pass runs on
+        B modulo the product of each group, redone one prime at a time if
+        it finds no unit pivot, and the symmetric residues of the CRT of
+        the passes are the c_k.
         """
         self._require_square("characteristic polynomial")
         denom, rows = self._scaled_int_rows()
         bound = 2 * prod(2 + isqrt(sum(map(mul, row, row))) for row in rows)
         source = primes()
-        modulus, coeffs = 1, None               # descending: c_0, c_1, ...
+        modulus, coeffs = 1, None
         while modulus <= bound:
             m = p = next(source)
             group = [p]
@@ -281,15 +289,12 @@ class RationalMatrix:
             coeffs = _crt(coeffs, modulus, part, m) if coeffs else part
             modulus *= m
         half = modulus // 2
-        return tuple(Fraction(c - modulus if c > half else c, denom ** k)
-                     for k, c in reversed(list(enumerate(coeffs))))
+        return denom, [c - modulus if c > half else c for c in coeffs]
 
     def det(self):
         self._require_square("determinant")
-        if self.rows == 0:
-            return Fraction(1)
-        c0 = self.charpoly()[0]
-        return c0 if self.rows % 2 == 0 else -c0
+        denom, coeffs = self._char_core()
+        return Fraction((-1) ** self.rows * coeffs[-1], denom ** self.rows)
 
 
 # Primes per Hessenberg pass at most: at n = 16 (CPython 3.11, x86_64) one
@@ -464,8 +469,7 @@ class Subspace:
         return hash((self.ambient_dim, self.basis))
 
     def __repr__(self):
-        return (f"Subspace(dim={self.dim}, "
-                f"ambient_dim={self.ambient_dim})")
+        return f"Subspace(dim={self.dim}, ambient_dim={self.ambient_dim})"
 
     def contains(self, vector):
         """Exact membership test for a length-n coordinate sequence."""
@@ -543,15 +547,13 @@ def inverse(a):
 
 
 def char_reversed(a):
-    """det(I - a t) in Z[t] for a square integer matrix.
-
-    The constant term is always 1; the degree drops by the multiplicity of
-    the zero eigenvalue.
-    """
+    """det(I - a t) in Z[t] for a square integer matrix, read off its
+    int characteristic polynomial: the constant term is 1, and the degree
+    drops by the multiplicity of the zero eigenvalue."""
     a._require_square("char_reversed")
     if not a.is_integer:
         raise DomainError("char_reversed needs integer entries")
-    return char_reversed_rational(a)
+    return IntPolynomial._of(a._char_core()[1])
 
 
 def char_reversed_rational(a):
@@ -560,9 +562,7 @@ def char_reversed_rational(a):
     integer one), read off its charpoly coefficients in reverse.
     DomainError when the coefficients are not integers."""
     a._require_square("char_reversed_rational")
-    rev = list(reversed(a.charpoly()))
-    for c in rev:
-        if c.denominator != 1:
-            raise DomainError(
-                "characteristic polynomial is not integral")
-    return IntPolynomial([int(c) for c in rev])
+    rev = a.charpoly()[::-1]
+    if any(c.denominator != 1 for c in rev):
+        raise DomainError("characteristic polynomial is not integral")
+    return IntPolynomial._of([c.numerator for c in rev])

@@ -8,8 +8,8 @@ outside Z[t], and gcds come from a primitive pseudo-remainder sequence in a
 canonical scaling (primitive, positive leading coefficient).  Products of
 rational functions cancel across the two factors before they multiply, and
 divide only by the gcds of positive degree.  The public constructor checks
-that every coefficient is an integer; results built inside this module come
-from int lists and are not checked again (``IntPolynomial._of``).
+that every coefficient is an integer; results built from int lists inside
+the package are not checked again (``IntPolynomial._of``).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class IntPolynomial:
 
     @classmethod
     def _of(cls, ints):
-        """A list of ints computed in this module, trimmed, not re-checked."""
+        """A list of ints computed in the package, trimmed, not re-checked."""
         out = cls.__new__(cls)
         out.coeffs = tuple(_trim(ints))
         return out
@@ -122,6 +122,8 @@ class IntPolynomial:
             return NotImplemented
         other = as_poly(other)
         a, b = self.coeffs, other.coeffs
+        if a == (1,) or b == (1,):      # every zeta factor has 1 on a side
+            return other if a == (1,) else self
         if not a or not b:
             return ZERO
         out = [0] * (len(a) + len(b) - 1)

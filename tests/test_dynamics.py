@@ -326,6 +326,25 @@ class TestLefschetz:
         with pytest.raises(DomainError):
             lefschetz_series(TORUS_P, 2, 0)
 
+    def test_integer_traces_build_no_fraction(self, monkeypatch):
+        # The traces of an integer matrix's powers and the periodic counts
+        # of a graph are int sums of stored entries; neither builds a
+        # Fraction.
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        for module in (linalg, dynamics):
+            monkeypatch.setattr(module, "Fraction", counting)
+        full = VertexShiftSpec.from_lists([[1, 1], [1, 1]], [1, -1])
+        traces = lefschetz_series(TORUS_LAMBDA, 2, 12)
+        counts = [count_periodic(full, n) for n in range(1, 8)]
+        assert built == []
+        assert {type(t) for t in traces + counts} == {int}
+        assert counts == [2, 4, 8, 16, 32, 64, 128]
+
     @pytest.mark.parametrize("fn", [
         conley_index, zeta_basic_set, zeta_via_index,
         lambda b, dim: lefschetz_series(b, dim, 4)])
@@ -681,8 +700,10 @@ def test_verify_computes_each_fact_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(RationalMatrix, "charpoly",
-                        counting("charpoly", RationalMatrix.charpoly))
+    # Every characteristic polynomial, integer or rational, comes from the
+    # integer core: det(I - A t) for A and charpoly() for A+.
+    monkeypatch.setattr(RationalMatrix, "_char_core",
+                        counting("charpoly", RationalMatrix._char_core))
     monkeypatch.setattr(RationalMatrix, "__pow__", counting(
         "power", RationalMatrix.__pow__, lambda m, k: m == a))
     monkeypatch.setattr(spectral, "generalized_image", counting(

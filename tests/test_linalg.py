@@ -850,6 +850,27 @@ def test_charpoly_forms_no_matrix_product(monkeypatch):
     assert calls == []
 
 
+def test_char_reversed_of_an_integer_matrix_builds_no_fraction(monkeypatch):
+    # det(I - A t) of an integer matrix is read as ints off the integer core
+    # of the characteristic polynomial; only charpoly() builds Fractions.
+    # A repeated row makes A singular, so the degree drops below n.
+    rows = random_int_matrix(random.Random(61), 6, -9, 9).to_int_rows()
+    rows[5] = rows[2]
+    a = RationalMatrix.from_rows(rows)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(linalg, "Fraction", counting)
+    got = char_reversed(a)
+    assert built == []
+    assert list(got.coeffs) == char_reversed_oracle(rows)
+    assert got.degree < 6
+    assert [c.denominator for c in a.charpoly()] == [1] * 7 and built
+
+
 @pytest.mark.parametrize("a", [
     RationalMatrix.from_rows(
         [[Fraction(1, 2), 1, 0, Fraction(2, 3), 1],

@@ -39,8 +39,9 @@ LAYERS_UNDER = {
               "spectral.invariant_factors", "linalg.column_space"),
     "jordan": ("spectral.jordan_profile", "spectral.invariant_factors",
                "poly.squarefree_decomposition"),
-    "zeta": ("linalg.char_reversed", "linalg.charpoly",
-             "poly.RationalFunction"),
+    # zeta's structure matrices are integer: char_reversed reads det(I - A t)
+    # off the integer core, so the rational charpoly() is not on its route.
+    "zeta": ("linalg.char_reversed", "poly.RationalFunction"),
     "morse": ("dynamics.morse_split_check", "dynamics.zeta_basic_set"),
 }
 
