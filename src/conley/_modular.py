@@ -1,17 +1,12 @@
-"""Arithmetic modulo primes just below 2^78: where the primes come from,
-and the characteristic polynomial of an integer matrix modulo a product
-of them, by a Hessenberg reduction that pivots on units."""
+"""Arithmetic modulo primes: one memo of prime sequences, for charpoly's
+primes just below 2^78 and the small primes of p-adic root lifting, and
+the characteristic polynomial of an integer matrix modulo a product of
+them, by a Hessenberg reduction that pivots on units."""
 
-from itertools import count
+from functools import cache
+from itertools import count, repeat
 from math import gcd
 from operator import mul
-from threading import Lock
-
-# Primes just below 2^78, largest first, found on first use.  A thread
-# that finds the next one missing re-checks under _GROWING before it
-# appends, so racing threads append each prime once.
-PRIMES = []
-_GROWING = Lock()
 
 # Miller-Rabin to these bases decides primality below 3.19e23 > 2^78.
 WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -43,18 +38,22 @@ def is_prime(n):
     return True
 
 
-def primes():
-    """The primes below 2^78, largest first; each is found once per
-    process and kept in PRIMES."""
-    for i in count():
-        if i == len(PRIMES):
-            with _GROWING:
-                if i == len(PRIMES):
-                    q = PRIMES[-1] - 2 if PRIMES else (1 << 78) - 1
-                    while not is_prime(q):
-                        q -= 2
-                    PRIMES.append(q)
-        yield PRIMES[i]
+@cache
+def nth_prime(i, start, step):
+    """Prime number i (from 0) among start, start + step, start + 2 step,
+    ..., searched on from prime i - 1, so calls in order of i recurse one
+    level.  Each key has one value: threads racing on a cold memo may find
+    a prime twice but never store it twice."""
+    q = nth_prime(i - 1, start, step) + step if i else start
+    while not is_prime(q):
+        q += step
+    return q
+
+
+def primes(start=(1 << 78) - 1, step=-2):
+    """nth_prime for i = 0, 1, 2, ...: by default the primes below 2^78,
+    largest first."""
+    return map(nth_prime, count(), repeat(start), repeat(step))
 
 
 def charpoly_mod(rows, modulus):

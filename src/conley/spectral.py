@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from ._modular import is_prime
+from ._modular import primes
 from .errors import DomainError, InvariantError
 from .linalg import (RationalMatrix, Subspace, _back_substitute, _columns,
                      _eliminate, _pivot, _reduce, column_space,
@@ -390,11 +390,7 @@ def _lifting_prime(coeffs, deriv):
     with InvariantError instead of running on.
     """
     skipped, bound = 1, None
-    p = 1
-    while True:
-        p += 1
-        if not is_prime(p):
-            continue
+    for p in primes(2, 1):
         reduced = [c % p for c in coeffs]
         roots = [r for r in range(p) if not _eval_mod(reduced, r, p)]
         if all(_eval_mod(deriv, r, p) for r in roots):

@@ -512,6 +512,25 @@ def random_shift_graph(rng, max_vertices=4):
     return adjacency, orientation
 
 
+def out_split(adjacency, vertex, part):
+    """Division and edge matrices (D, E) of the out-splitting of a graph at
+    ``vertex`` (R. F. Williams, Ann. of Math. 98, 1973; Lind and Marcus,
+    Symbolic Dynamics and Coding, 2.4).  The edges from ``vertex`` into
+    ``part`` leave its first copy, ``vertex`` itself, and the rest leave a
+    second copy, appended as vertex n.  D (n x (n + 1)) marks the copies of
+    each vertex and E ((n + 1) x n) lists each copy's edges, so D E is the
+    graph's adjacency matrix and E D the split graph's; the graph's entries
+    are never edited."""
+    n = len(adjacency)
+    d = [[int(j == i or (i == vertex and j == n)) for j in range(n + 1)]
+         for i in range(n)]
+    e = [list(row) for row in adjacency]
+    split = adjacency[vertex]
+    e[vertex] = [x if k in part else 0 for k, x in enumerate(split)]
+    e.append([0 if k in part else x for k, x in enumerate(split)])
+    return d, e
+
+
 def zeta_via_index_reference(basic, ambient_dim):
     """The zeta function assembled degree by degree from conley_index:
     the product of det(I - M_k t)^((-1)^(k+1)) over the index

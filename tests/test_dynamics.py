@@ -25,7 +25,8 @@ from conley.spectral import is_similar, jordan_profile
 
 from oracles import (block_diag, companion, conjugate,
                      enumerate_periodic_dfs, jordan_block,
-                     mat_mul_oracle, random_int_matrix, random_shift_graph,
+                     mat_mul_oracle, out_split, random_int_matrix,
+                     random_shift_graph,
                      random_unimodular, reference_index_report,
                      reference_verify_report, zeta_via_index_reference)
 
@@ -799,6 +800,109 @@ def test_invariants_survive_elementary_strong_shift_equivalence(pair):
         seen.append((factors, jordan_profile(structure).without_zero_class(),
                      char_reversed(structure)))
     assert seen[0] == seen[1]
+
+
+def _shift_invariants(structure, shift=None):
+    """What a strong shift equivalence keeps: the invariant factors of A+,
+    the block profile without the zero class, the zeta function and, for a
+    graph, its periodic counts for n = 1..6.  The printed A+, the zero
+    class and n are not invariants and are left out."""
+    b = BasicSetSpec("s", StructureMatrix(structure), 1, shift)
+    index = conley_index(b, 1)
+    factors = () if index.is_trivial else index.entry(1).invariant_factors
+    counts = shift and [count_periodic(shift, n) for n in range(1, 7)]
+    return (factors, jordan_profile(structure).without_zero_class(),
+            zeta_basic_set(b, 1), counts)
+
+
+@st.composite
+def _signed_graphs(draw, lo, hi):
+    """(adjacency, orientation) of a signed graph on lo..hi vertices."""
+    n = draw(st.integers(lo, hi))
+    adjacency = draw(st.lists(st.lists(st.integers(0, 1), min_size=n,
+                                       max_size=n), min_size=n, max_size=n))
+    orientation = draw(st.lists(st.sampled_from([1, -1]), min_size=n,
+                                max_size=n))
+    return adjacency, orientation
+
+
+@st.composite
+def _stranded(draw):
+    """(A, shift, j, into): a structure matrix on 2..8 vertices whose column
+    j (into, nothing enters j) or row j (nothing leaves j) is zero, drawn
+    from a signed graph (shift its vertex shift) or with entries in
+    [-2, 2] (shift None)."""
+    graph = draw(st.booleans())
+    if graph:
+        adjacency, orientation = draw(_signed_graphs(2, 8))
+        n = len(adjacency)
+    else:
+        n = draw(st.integers(2, 8))
+        adjacency = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n,
+                                           max_size=n),
+                                  min_size=n, max_size=n))
+    j, into = draw(st.integers(0, n - 1)), draw(st.booleans())
+    for i in range(n):
+        if into:
+            adjacency[i][j] = 0
+        else:
+            adjacency[j][i] = 0
+    if not graph:
+        return adjacency, None, j, into
+    shift = VertexShiftSpec.from_lists(adjacency, orientation)
+    return build_structure_matrix(shift).matrix.to_int_rows(), shift, j, into
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_stranded())
+def test_invariants_survive_removing_a_stranded_vertex(case):
+    # A stranded vertex j has a zero column or row in A, and deleting it
+    # is a lag-1 strong shift equivalence: with R = A without column j and
+    # S = I without row j (nothing enters j), or R = I without column j and
+    # S = A without row j (nothing leaves j), A = R S and A' = S R.
+    a, shift, j, into = case
+    n = len(a)
+    keep = [k for k in range(n) if k != j]
+    unit = [[int(k == c) for c in range(n)] for k in keep]
+    r, s = (([[row[k] for k in keep] for row in a], unit) if into else
+            ([list(col) for col in zip(*unit)], [a[k] for k in keep]))
+    a, r, s, smaller = map(RationalMatrix.from_rows, (
+        a, r, s, [[a[i][k] for k in keep] for i in keep]))
+    assert mat_mul_oracle(r, s) == a and mat_mul_oracle(s, r) == smaller
+    removed = shift and VertexShiftSpec.from_lists(
+        [[shift.adjacency[i][k] for k in keep] for i in keep],
+        [shift.orientation[k] for k in keep])
+    assert _shift_invariants(a, shift) == _shift_invariants(smaller, removed)
+
+
+@st.composite
+def _out_splittings(draw):
+    """(adjacency, orientation, vertex, part): a signed graph on 1..7
+    vertices, the vertex to split, and the successors of its first copy."""
+    adjacency, orientation = draw(_signed_graphs(1, 7))
+    n = len(adjacency)
+    vertex = draw(st.integers(0, n - 1))
+    part = draw(st.sets(st.integers(0, n - 1)))
+    return adjacency, orientation, vertex, part
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_out_splittings())
+def test_invariants_survive_signed_out_splitting(case):
+    # G = D E and G' = E D, and each copy keeps its parent's orientation,
+    # so with O = diag(orientation) the structure matrices are A = D (E O)
+    # and A' = (E O) D, an elementary strong shift equivalence.
+    adjacency, orientation, vertex, part = case
+    d, e = out_split(adjacency, vertex, part)
+    eo = [[x * o for x, o in zip(row, orientation)] for row in e]
+    d, e, eo = map(RationalMatrix.from_rows, (d, e, eo))
+    shift = VertexShiftSpec.from_lists(adjacency, orientation)
+    split = VertexShiftSpec.from_lists(mat_mul_oracle(e, d).to_int_rows(),
+                                       orientation + [orientation[vertex]])
+    a, a_split = mat_mul_oracle(d, eo), mat_mul_oracle(eo, d)
+    assert build_structure_matrix(shift).matrix == a
+    assert build_structure_matrix(split).matrix == a_split
+    assert _shift_invariants(a, shift) == _shift_invariants(a_split, split)
 
 
 def _rank_callers(monkeypatch):

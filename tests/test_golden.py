@@ -1,15 +1,37 @@
-"""Golden stdout: sha256 digests of every command's output, text and json,
-on the three fixtures and on one basic set whose index automorphism has
-p/q entries.  Any change of basis in a Subspace or an induced map, or of
-formatting, changes a digest.  morse exits 2 (no ambient maps) on the
-horseshoe and the four-handle, with empty stdout."""
+"""Golden output: sha256 digests of every command's output, text and json.
 
+GOLDEN pins stdout and the exit code on the three fixtures and on one
+basic set whose index automorphism has p/q entries.  Any change of basis
+in a Subspace or an induced map, or of formatting, changes a digest.
+morse exits 2 (no ambient maps) on the horseshoe and the four-handle, with
+empty stdout.
+
+golden_corpus.json pins (exit code, sha256 of stdout, sha256 of stderr)
+of the same ten operations on a wider corpus: every file that
+``bench/workloads.py`` writes for catalog, derogatory and dense at seeds 1
+and 3, its probe case, and the three fixtures.  A deliberate change of
+output, or a change to a workload generator (which changes the corpus
+itself), regenerates the table in the same change, from the parent
+commit's library so that the table pins the library's output:
+
+    PYTHONPATH=<parent checkout>/src python tests/test_golden.py \
+        > tests/golden_corpus.json
+"""
+
+import contextlib
 import hashlib
+import io
 import json
+import pathlib
+import sys
 
 import pytest
 
 from conley.cli import main
+
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "bench"))
+import workloads  # noqa: E402 - the bench directory is not a package
 
 # Its eventual image has the reduced echelon basis (1, 0, 3/2), (0, 1, 1/2)
 # and A+ = [[-1/2, -3/2], [1/2, -1/2]].
@@ -117,3 +139,72 @@ def test_stdout_digest(capsys, fixture_path, tmp_path, name, command, fmt):
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
         GOLDEN[name, command, fmt]
+
+
+CORPUS_SEEDS = (1, 3)
+CORPUS_GROUPS = [f"{name}/{seed}" for name in sorted(workloads.WORKLOADS)
+                 for seed in CORPUS_SEEDS] + ["probe", "fixtures"]
+
+
+def corpus_files(group, directory):
+    """name -> path of the files of one corpus group, written under
+    directory (the fixtures are read in place)."""
+    if group == "fixtures":
+        return {path.name: path
+                for path in sorted((HERE / "fixtures").glob("*.json"))}
+    if group == "probe":
+        directory.mkdir(parents=True, exist_ok=True)
+        path = directory / "probe.json"
+        path.write_text(workloads.probe_case().text(), encoding="utf-8")
+        return {path.name: path}
+    name, seed = group.split("/")
+    paths = workloads.write_cases(workloads.WORKLOADS[name](int(seed)),
+                                  directory)
+    return {path.name: path for path in paths.values()}
+
+
+def corpus_digests(group, directory):
+    """'group/file command format' -> [exit code, sha256 of stdout, sha256
+    of stderr] for every command and format on one corpus group."""
+    table = {}
+    for name, path in corpus_files(group, directory).items():
+        for command in sorted(COMMANDS):
+            for fmt in ("text", "json"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = main([command, str(path), *COMMANDS[command],
+                                 "--format", fmt])
+                table[f"{group}/{name} {command} {fmt}"] = [
+                    code, *(hashlib.sha256(s.getvalue().encode()).hexdigest()
+                            for s in (out, err))]
+    return table
+
+
+def _corpus():
+    return json.loads((HERE / "golden_corpus.json").read_text(
+        encoding="utf-8"))
+
+
+def test_corpus_table_covers_exactly_the_groups():
+    assert {key.rsplit("/", 1)[0] for key in _corpus()} == \
+        set(CORPUS_GROUPS)
+
+
+@pytest.mark.parametrize("group", CORPUS_GROUPS)
+def test_corpus_digests(tmp_path, group):
+    expected = {key: value for key, value in _corpus().items()
+                if key.rsplit("/", 1)[0] == group}
+    assert corpus_digests(group, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        rows = {}
+        for group in CORPUS_GROUPS:
+            rows.update(corpus_digests(group, pathlib.Path(scratch) / group))
+    print("{\n" + ",\n".join(f"{json.dumps(key)}: {json.dumps(value)}"
+                               for key, value in sorted(rows.items()))
+          + "\n}")

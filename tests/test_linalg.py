@@ -909,6 +909,9 @@ class TestPrimeSource:
     def test_primes_match_the_fermat_oracle(self):
         assert list(islice(primes(), 8)) == primes_below_oracle(2 ** 78, 8)
 
+    def test_small_primes_for_root_lifting_come_in_order(self):
+        assert list(islice(primes(2, 1), 100)) == SMALL_PRIMES[:100]
+
     def test_witnesses_decide_every_candidate_below_2_78(self):
         # psi_12, the least strong pseudoprime to the first twelve prime
         # bases (Sorenson and Webster, Math. Comp. 86, 2017), fools
@@ -938,19 +941,18 @@ class TestPrimeSource:
 
     def test_importing_the_package_finds_no_prime(self):
         code = ("import conley, conley.cli, conley._modular as m; "
-                "print(len(m.PRIMES))")
+                "print(m.nth_prime.cache_info().currsize)")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              timeout=30).stdout
         assert out.strip() == "0"
 
-    def test_threads_that_race_for_a_new_prime_append_it_once(
+    def test_threads_that_race_for_a_new_prime_store_it_once(
             self, monkeypatch):
         # A slow is_prime holds the search open, so four threads that start
-        # together on an empty cache all find the first prime before any
-        # appends it; the cache must still end up holding it once.
-        found = []
-        monkeypatch.setattr(_modular, "PRIMES", found)
+        # together on a cleared memo all search for the first prime before
+        # any stores it; the memo must still hold one entry per index.
+        _modular.nth_prime.cache_clear()
         fast = _modular.is_prime
 
         def slow(n):
@@ -966,14 +968,20 @@ class TestPrimeSource:
             taken.append(list(islice(primes(), 2)))
 
         threads = [threading.Thread(target=take) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-            assert not thread.is_alive()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         expected = primes_below_oracle(2 ** 78, 2)
+        assert expected[0] == 2 ** 78 - 11
         assert taken == [expected] * 4
-        assert found == expected
+        assert _modular.nth_prime.cache_info().currsize == 2
         # Multiples of the first prime send its bound's group of primes
         # through the one-prime redo, whose CRT a repeated prime would
         # break.

@@ -113,6 +113,26 @@ def test_library_imports_only_the_standard_library():
     assert outside == {}
 
 
+def test_library_starts_no_threads_and_takes_no_locks():
+    # The library's one process-wide state is the memo of a pure function
+    # (the prime sequences), which threads can share without a lock.
+    package = (pathlib.Path(__file__).resolve().parent.parent
+               / "src" / "conley")
+    importing = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] in ("threading", "_thread")
+                   for name in names):
+                importing.add(path.name)
+    assert importing == set()
+
+
 ELIMINATION = ("_reduce", "_pivot", "_eliminate", "_back_substitute")
 
 
