@@ -263,31 +263,27 @@ class RationalMatrix:
         det(I - B t) from t^0 up).  Up to sign, c_k is the sum of the
         principal k x k minors of B, so Hadamard's inequality gives
         |c_k| <= prod(2 + isqrt(r_i^2)), r_i the Euclidean norm of row i.
-        Primes just below 2^78 are taken until their product passes twice
-        that bound, in groups of at most _GROUP; one Hessenberg pass runs on
-        B modulo the product of each group, redone one prime at a time if
-        it finds no unit pivot, and the symmetric residues of the CRT of
-        the passes are the c_k.
-        """
+        Primes just below 2^78 are taken in groups of at most _GROUP; one
+        Hessenberg pass runs on B modulo the product m of each group, and
+        once the moduli used pass twice that bound, the symmetric residues
+        of the CRT of the passes are the c_k.  A pass that finds no unit
+        pivot returns None and its group is skipped.  That ends: the pass
+        pivots where the same reduction over Q (on the first nonzero entry)
+        does unless a prime of m divides the numerator of one of its
+        pivots, and each of those finitely many primes comes once."""
         self._require_square("characteristic polynomial")
         denom, rows = self._scaled_int_rows()
         bound = 2 * prod(2 + isqrt(sum(map(mul, row, row))) for row in rows)
         source = primes()
         modulus, coeffs = 1, None
         while modulus <= bound:
-            m = p = next(source)
-            group = [p]
-            while modulus * m <= bound and len(group) < _GROUP:
-                p = next(source)
-                group.append(p)
-                m *= p
+            m, k = next(source), 1
+            while modulus * m <= bound and k < _GROUP:
+                m, k = m * next(source), k + 1
             part = charpoly_mod(rows, m)
-            if part is None:                    # no unit pivot mod m
-                part, m = charpoly_mod(rows, group[0]), group[0]
-                for p in group[1:]:
-                    part, m = _crt(part, m, charpoly_mod(rows, p), p), m * p
-            coeffs = _crt(coeffs, modulus, part, m) if coeffs else part
-            modulus *= m
+            if part is not None:
+                coeffs = _crt(coeffs, modulus, part, m) if coeffs else part
+                modulus *= m
         half = modulus // 2
         return denom, [c - modulus if c > half else c for c in coeffs]
 

@@ -876,9 +876,10 @@ def test_invariants_survive_removing_a_stranded_vertex(case):
 
 
 @st.composite
-def _out_splittings(draw):
+def _splittings(draw):
     """(adjacency, orientation, vertex, part): a signed graph on 1..7
-    vertices, the vertex to split, and the successors of its first copy."""
+    vertices, the vertex to split, and the neighbours (successors for an
+    out-splitting, predecessors for an in-splitting) of its first copy."""
     adjacency, orientation = draw(_signed_graphs(1, 7))
     n = len(adjacency)
     vertex = draw(st.integers(0, n - 1))
@@ -887,7 +888,7 @@ def _out_splittings(draw):
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(_out_splittings())
+@given(_splittings())
 def test_invariants_survive_signed_out_splitting(case):
     # G = D E and G' = E D, and each copy keeps its parent's orientation,
     # so with O = diag(orientation) the structure matrices are A = D (E O)
@@ -905,14 +906,41 @@ def test_invariants_survive_signed_out_splitting(case):
     assert _shift_invariants(a, shift) == _shift_invariants(a_split, split)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_splittings())
+def test_invariants_survive_signed_in_splitting(case):
+    # In-splitting G is out-splitting its transpose: with (D, E) that of
+    # G^T, G = E^T D^T and the split graph is G' = D^T E^T, whose second
+    # copy keeps the orientation of vertex.  With O and O' the two
+    # orientations as diagonal matrices, R = E^T and S = D^T O give
+    # R S = A and S R = O' A' O', which is A' conjugated by a +-1 diagonal.
+    adjacency, orientation, vertex, part = case
+    d, e = out_split([list(col) for col in zip(*adjacency)], vertex, part)
+    split_orientation = orientation + [orientation[vertex]]
+    signs = [[int(i == j) * o for j in range(len(split_orientation))]
+             for i, o in enumerate(split_orientation)]
+    dt, r = ([list(col) for col in zip(*m)] for m in (d, e))
+    s = [[x * o for x, o in zip(row, orientation)] for row in dt]
+    dt, r, s, signs = map(RationalMatrix.from_rows, (dt, r, s, signs))
+    shift = VertexShiftSpec.from_lists(adjacency, orientation)
+    split = VertexShiftSpec.from_lists(mat_mul_oracle(dt, r).to_int_rows(),
+                                       split_orientation)
+    a = build_structure_matrix(shift).matrix
+    a_split = build_structure_matrix(split).matrix
+    assert mat_mul_oracle(r, s) == a
+    assert mat_mul_oracle(s, r) == \
+        mat_mul_oracle(mat_mul_oracle(signs, a_split), signs)
+    assert _shift_invariants(a, shift) == _shift_invariants(a_split, split)
+
+
 def _rank_callers(monkeypatch):
-    """The qualified names of the functions that call RationalMatrix.rank,
+    """The code objects of the functions that call RationalMatrix.rank,
     one per call, while the monkeypatch holds."""
     callers = []
     rank = RationalMatrix.rank
 
     def recording(m):
-        callers.append(sys._getframe(1).f_code.co_qualname)
+        callers.append(sys._getframe(1).f_code)
         return rank(m)
 
     monkeypatch.setattr(RationalMatrix, "rank", recording)
@@ -953,4 +981,4 @@ def test_verify_ranks_each_nonzero_index_once(monkeypatch):
     system = SystemSpec(basic_sets=sets, ambient_dim=4)
     callers = _rank_callers(monkeypatch)
     assert build_verify_report(system)["ok"]
-    assert callers == ["InducedMap.verify"] * 4
+    assert callers == [spectral.InducedMap.verify.__code__] * 4

@@ -1,18 +1,19 @@
 """Golden output: sha256 digests of every command's output, text and json.
 
-GOLDEN pins stdout and the exit code on the three fixtures and on one
-basic set whose index automorphism has p/q entries.  Any change of basis
-in a Subspace or an induced map, or of formatting, changes a digest.
-morse exits 2 (no ambient maps) on the horseshoe and the four-handle, with
-empty stdout.
+GOLDEN pins stdout and the exit code on the horseshoe, torus and
+four-handle fixtures and on one basic set whose index automorphism has
+p/q entries.  Any change of basis in a Subspace or an induced map, or of
+formatting, changes a digest.  morse exits 2 (no ambient maps) on the
+horseshoe and the four-handle, with empty stdout.
 
 golden_corpus.json pins (exit code, sha256 of stdout, sha256 of stderr)
 of the same ten operations on a wider corpus: every file that
 ``bench/workloads.py`` writes for catalog, derogatory and dense at seeds 1
-and 3, its probe case, and the three fixtures.  A deliberate change of
-output, or a change to a workload generator (which changes the corpus
-itself), regenerates the table in the same change, from the parent
-commit's library so that the table pins the library's output:
+and 3, its probe case, and every file in ``tests/fixtures``.  A deliberate
+change of output, a new fixture, or a change to a workload generator
+(which changes the corpus itself), regenerates the table in the same
+change, from the parent commit's library so that the table pins the
+library's output:
 
     PYTHONPATH=<parent checkout>/src python tests/test_golden.py \
         > tests/golden_corpus.json

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conley import _modular, linalg
 from conley._modular import is_prime, primes
+from conley.cli import main
 from conley.errors import DomainError, InvariantError, ShapeError
 from conley.linalg import (RationalMatrix, Subspace, char_reversed,
                            char_reversed_rational, column_space, inverse,
@@ -745,7 +748,8 @@ class TestModularCharpoly:
         _check_charpoly(a)
 
     def test_entries_that_vanish_modulo_the_first_prime(self, monkeypatch):
-        p = primes_below_oracle(2 ** 78, 1)[0]
+        ps = primes_below_oracle(2 ** 78, 16)
+        p = ps[0]
         calls = _counting_passes(monkeypatch)
         rng = random.Random(41)
         for n in range(1, 7):
@@ -753,17 +757,51 @@ class TestModularCharpoly:
             calls.clear()
             _check_charpoly(a)
             if n >= 3:
-                # Every multiple of p is a zero divisor of the group
-                # modulus, so column 0 has no unit: the group pass returns
-                # None and its primes are redone one at a time.
-                (group, failed), *redo = calls
-                primes_of_group = primes_below_oracle(2 ** 78, len(redo))
-                assert failed and len(redo) > 1
-                assert redo == [(q, False) for q in primes_of_group]
-                assert group == prod(primes_of_group)
+                # Every multiple of p is a zero divisor of the first
+                # group's modulus, so column 0 has no unit: that pass
+                # returns None and is skipped, and the next primes form
+                # the next group.
+                (first, failed), (second, _), *_ = calls
+                k = next(k for k in range(2, 9) if prod(ps[:k]) == first)
+                assert failed
+                assert second in {prod(ps[k:j]) for j in range(k + 1, 16)}
+                assert all(gcd(m, first) == 1 for m, _ in calls[1:])
+            else:
+                assert not any(failed for _, failed in calls)
             # The coefficient of t^k for p M is p^(n-k) times that for M.
             assert (a * Fraction(1, p)).charpoly() == \
                 tuple(c / p ** (n - k) for k, c in enumerate(a.charpoly()))
+
+    def test_groups_whose_primes_divide_the_pivot_column_are_skipped(
+            self, monkeypatch):
+        # Column 0 below the diagonal holds multiples of ps[0] ps[8]: no
+        # unit modulo the first group (ps[0..7]) or the second (ps[8..15]);
+        # the third group, ps[16..23], pivots.
+        ps = primes_below_oracle(2 ** 78, 24)
+        rng = random.Random(53)
+        rows = [[rng.choice((-1, 1)) * 2 ** 400 + rng.randint(-9, 9)
+                 for _ in range(4)] for _ in range(4)]
+        for i in range(1, 4):
+            rows[i][0] = ps[0] * ps[8] * rng.choice((-2, -1, 1, 2))
+        a = RationalMatrix.from_rows(rows)
+        # The bound passes every product of seven primes, so each group
+        # holds eight.
+        hadamard = prod(2 + isqrt(sum(x * x for x in row)) for row in rows)
+        assert 2 * hadamard > prod(ps[:16])
+        calls = _counting_passes(monkeypatch)
+        _check_charpoly(a)
+        assert calls[:3] == [(prod(ps[0:8]), True), (prod(ps[8:16]), True),
+                             (prod(ps[16:24]), False)]
+        assert not any(failed for _, failed in calls[3:])
+
+    def test_zero_divisor_fixture_meets_a_skipped_group(self, monkeypatch,
+                                                        fixture_path):
+        # zero_divisor.json holds multiples of the first prime below 2^78,
+        # so the golden corpus keeps a charpoly whose group is skipped.
+        calls = _counting_passes(monkeypatch)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["zeta", fixture_path("zero_divisor.json")]) == 0
+        assert any(failed for _, failed in calls)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.integers(0, 8).flatmap(lambda n: st.lists(

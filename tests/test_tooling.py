@@ -114,8 +114,9 @@ def test_library_imports_only_the_standard_library():
 
 
 def test_library_starts_no_threads_and_takes_no_locks():
-    # The library's one process-wide state is the memo of a pure function
-    # (the prime sequences), which threads can share without a lock.
+    # The library's process-wide state is two memos, which threads share
+    # without a lock: that of a pure function (the prime sequences) and
+    # cli's argument parser, built once and never mutated by parsing.
     package = (pathlib.Path(__file__).resolve().parent.parent
                / "src" / "conley")
     importing = set()
