@@ -13,6 +13,9 @@ check on the values of their input, for library callers and system files
 alike.  Each raises a ValidationError at the first problem, located by a
 JSON pointer into the document form that system_io.system_to_dict writes
 for that object (``/index`` of a basic set, ``/orientation/1`` of a shift).
+Every integer they compare, and every integer argument of the library's
+entry points (located by its name), passes one check, _require_int: a
+plain int, never a bool or an int subclass.
 
 A report computes A+, the one fact about a basic set that several of its
 checks read, once, through one BasicSetAnalysis per set and call.  The two
@@ -34,16 +37,25 @@ from .poly import RationalFunction
 from .spectral import invariant_factors, nonnilpotent_part
 
 
-def _check_entries(values, allowed, rule, path):
-    """Raise at the first of ``values`` that is not an int in ``allowed``
-    (a set), located at its position under ``path``; a passing row is
-    tested whole, and only a failing one entry by entry."""
-    if set(map(type, values)) <= {int} and allowed.issuperset(values):
+def _require_int(value, path):
+    """value, checked to be a plain int, never a bool or an int subclass;
+    ``path`` locates it (a JSON pointer or an argument name)."""
+    if type(value) is not int:
+        raise ValidationError("expected an integer", path)
+    return value
+
+
+def _check_entries(values, path, allowed=None, rule=None):
+    """Raise at the first of ``values`` that is not an int, or not in
+    ``allowed`` (a set; None allows every int) with the reason ``rule``,
+    located at its position under ``path``; a passing row is tested whole,
+    and only a failing one entry by entry."""
+    if set(map(type, values)) <= {int} and (
+            allowed is None or allowed.issuperset(values)):
         return
     for k, v in enumerate(values):
-        if type(v) is not int:
-            raise ValidationError("expected an integer", f"{path}/{k}")
-        if v not in allowed:
+        _require_int(v, f"{path}/{k}")
+        if allowed is not None and v not in allowed:
             raise ValidationError(f"entry {_shown(v)} {rule}", f"{path}/{k}")
 
 
@@ -56,7 +68,7 @@ class VertexShiftSpec:
     orientation: tuple
 
     def __post_init__(self):
-        n = self.n
+        n = _require_int(self.n, "/adjacency")
         if len(self.adjacency) != n:
             raise ValidationError(f"adjacency has {len(self.adjacency)} "
                                   f"rows, expected {_shown(n)}", "/adjacency")
@@ -65,13 +77,13 @@ class VertexShiftSpec:
                 raise ValidationError(f"row has {len(row)} entries, "
                                       f"expected {_shown(n)}",
                                       f"/adjacency/{i}")
-            _check_entries(row, {0, 1}, "not in [0, 1]", f"/adjacency/{i}")
+            _check_entries(row, f"/adjacency/{i}", {0, 1}, "not in [0, 1]")
         if len(self.orientation) != n:
             raise ValidationError(f"orientation has {len(self.orientation)} "
                                   f"entries, expected {_shown(n)}",
                                   "/orientation")
-        _check_entries(self.orientation, {1, -1}, "must be 1 or -1",
-                       "/orientation")
+        _check_entries(self.orientation, "/orientation", {1, -1},
+                       "must be 1 or -1")
 
     @classmethod
     def from_lists(cls, adjacency, orientation):
@@ -126,7 +138,7 @@ def count_periodic(shift, n):
     G^(n - h) and G^h, h = floor(n / 2), which is never formed.  G^h costs
     the products of one square and multiply, G^(n - h) = G^h G one more
     when n is odd, and n = 1 reads tr G; both traces are int sums."""
-    if n < 1:
+    if _require_int(n, "n") < 1:
         raise DomainError("period must be at least 1")
     # The spec has checked that every entry is 0 or 1.
     g = RationalMatrix._from_scaled(shift.adjacency, shift.n, 1)
@@ -166,7 +178,7 @@ def enumerate_periodic_oracle(shift, n, budget=None):
     periods on a graph without cycles, whose walks end at once, spend it
     too.
     """
-    if n < 1:
+    if _require_int(n, "n") < 1:
         raise DomainError("period must be at least 1")
     if budget is None:
         budget = StepBudget()
@@ -220,9 +232,7 @@ class BasicSetSpec:
             raise ValidationError("name must be a nonempty string", "/name")
         if not self.name.isprintable():  # a newline would forge report lines
             raise ValidationError("name must be printable text", "/name")
-        index = self.index_u
-        if isinstance(index, bool) or not isinstance(index, int):
-            raise ValidationError("expected an integer", "/index")
+        index = _require_int(self.index_u, "/index")
         if index < 0:
             raise ValidationError(f"index {_shown(index)} must be "
                                   "nonnegative", "/index")
@@ -286,7 +296,7 @@ class ConleyIndex:
 
 
 def _check_index_bound(basic, ambient_dim):
-    if basic.index_u > ambient_dim:
+    if basic.index_u > _require_int(ambient_dim, "ambient_dim"):
         raise ValidationError(
             f"basic set {_shown(basic.name)}: index {_shown(basic.index_u)} "
             f"exceeds the ambient dimension {_shown(ambient_dim)}")
@@ -378,7 +388,7 @@ def lefschetz_series(basic, ambient_dim, m):
     those of the nonnilpotent part from the first power on, since the
     nilpotent part adds trace 0 to every power."""
     _check_index_bound(basic, ambient_dim)
-    if m < 1:
+    if _require_int(m, "m") < 1:
         raise DomainError("series length must be at least 1")
     # The structure matrix is an integer matrix, so every trace is an int.
     return _power_traces(basic.structure.matrix, m)
@@ -418,16 +428,17 @@ class SystemSpec:
                 raise ValidationError("split_at given without an ambient "
                                       "dimension", "/ambient")
             return
-        if dim < 0:
+        if _require_int(dim, "/ambient/dim") < 0:
             raise ValidationError("dim must be nonnegative", "/ambient/dim")
         for k in self.ambient_maps:
-            if not 0 <= k <= dim:
+            if not 0 <= _require_int(k, "/ambient/homology_maps") <= dim:
                 problem = "must be nonnegative" if k < 0 else \
                     f"exceeds dim {_shown(dim)}"
                 raise ValidationError(
                     f"degree {_shown(k)} {problem}",
                     f"/ambient/homology_maps/{_decimal(k)}")
-        if self.split_at is not None and not 0 <= self.split_at <= dim:
+        if self.split_at is not None and not \
+                0 <= _require_int(self.split_at, "/ambient/split_at") <= dim:
             raise ValidationError(f"split_at {_shown(self.split_at)} outside "
                                   f"0..{_shown(dim)}", "/ambient/split_at")
         for i, b in enumerate(self.basic_sets):
@@ -471,7 +482,7 @@ def morse_split_check(system, q):
     P^((-1)^q) * prod_{u(i) <= q} Z_i = prod_{k <= q} det(I - M_k t)^((-1)^(k+1))
     where M_k are the ambient homology maps, and report whether P is an
     integer polynomial (it is whenever the splitting hypothesis holds)."""
-    if q < 0:
+    if _require_int(q, "q") < 0:
         raise ValidationError("q must be nonnegative")
     if system.ambient_dim is None:
         raise ValidationError("morse check needs ambient data")

@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from .dynamics import (BasicSetAnalysis, StepBudget, _power_traces,
-                       conley_index, count_periodic,
+                       _require_int, conley_index, count_periodic,
                        enumerate_periodic_oracle, lefschetz_series,
                        morse_split_check, zeta_basic_set, zeta_via_index)
 from .errors import ResourceError, ValidationError, _decimal, _shown
@@ -162,7 +162,7 @@ def build_verify_report(system, max_enum=6):
     trace 0 to every power).  A+ comes from one BasicSetAnalysis per basic
     set, so it is computed once and read by every check that needs it.
     """
-    if max_enum < 1:
+    if _require_int(max_enum, "max_enum") < 1:
         raise ValidationError(
             f"max_enum must be at least 1, got {_shown(max_enum)}")
     dim = system.effective_dim()

@@ -9,6 +9,8 @@ homology maps per degree and a user-asserted ``split_at`` degree.
 
 This module checks only the document's JSON shape: types, keys, square
 integer matrices, homology-key syntax and repeats, and matrix-xor-graph.
+It tests an integer where the file reads it, with the one integer check,
+``dynamics._require_int``, so a file's first error keeps its place.
 Every check on the values (signs, ranges, names) belongs to the spec
 dataclasses in ``dynamics``; their errors are relocated under the basic
 set's pointer here, so every error names a JSON pointer into the file.
@@ -20,7 +22,8 @@ import json
 from contextlib import contextmanager
 
 from .dynamics import (BasicSetSpec, StructureMatrix, SystemSpec,
-                       VertexShiftSpec, build_structure_matrix)
+                       VertexShiftSpec, _check_entries, _require_int,
+                       build_structure_matrix)
 from .errors import ValidationError, _shown
 from .linalg import RationalMatrix
 
@@ -37,12 +40,6 @@ def _require_object(value, path, required, optional=()):
             raise ValidationError(f"unknown key {_shown(key)}", path)
 
 
-def _require_int(value, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError("expected an integer", path)
-    return value
-
-
 def _require_int_matrix(value, path):
     """value, checked to be a square list of int rows."""
     if not isinstance(value, list):
@@ -55,11 +52,7 @@ def _require_int_matrix(value, path):
             raise ValidationError(
                 f"row has {len(row)} entries, expected {n} (matrix must "
                 "be square)", f"{path}/{i}")
-        # Locations are formatted only on the way to an error: a row of
-        # plain ints passes without a per-entry string.
-        if not set(map(type, row)) <= {int}:
-            for j, x in enumerate(row):
-                _require_int(x, f"{path}/{i}/{j}")
+        _check_entries(row, f"{path}/{i}")
     return value
 
 

@@ -1,3 +1,4 @@
+import enum
 import random
 import re
 import sys
@@ -586,6 +587,54 @@ class TestHugeIntegers:
         assert (RationalMatrix.identity(2) ** 2 ** 1200).trace() == 2
         assert count_periodic(_two_cycle(), 2 ** 1100) == 2
         assert count_periodic(_two_cycle(), 2 ** 1100 + 1) == 0
+
+
+class _Two(enum.IntEnum):
+    TWO = 2
+
+
+# Every integer a spec constructor or library entry point compares, by the
+# location its error names, and a call that hands it x.
+INTEGER_SITES = {
+    "system-dim": ("/ambient/dim", lambda x: SystemSpec((), ambient_dim=x)),
+    "split-at": ("/ambient/split_at",
+                 lambda x: SystemSpec((), ambient_dim=2, split_at=x)),
+    "map-degree": ("/ambient/homology_maps", lambda x: SystemSpec(
+        (), ambient_dim=2,
+        ambient_maps={x: RationalMatrix.from_rows([[1]])})),
+    "shift-size": ("/adjacency",
+                   lambda x: VertexShiftSpec(x, ((0, 1), (1, 0)), (1, 1))),
+    "index-dim": ("ambient_dim", lambda x: conley_index(TORUS_P, x)),
+    "zeta-dim": ("ambient_dim", lambda x: zeta_basic_set(TORUS_P, x)),
+    "zeta-via-index-dim": ("ambient_dim",
+                           lambda x: zeta_via_index(TORUS_P, x)),
+    "series-dim": ("ambient_dim", lambda x: lefschetz_series(TORUS_P, x, 2)),
+    "series-length": ("m", lambda x: lefschetz_series(TORUS_P, 2, x)),
+    "count-period": ("n", lambda x: count_periodic(_two_cycle(), x)),
+    "oracle-period": ("n",
+                      lambda x: enumerate_periodic_oracle(_two_cycle(), x)),
+    "morse-q": ("q", lambda x: morse_split_check(torus_system(), x)),
+    "max-enum": ("max_enum",
+                 lambda x: build_verify_report(SystemSpec(()), x)),
+}
+
+
+class TestPlainIntegers:
+    """An integer is a plain int: never a bool or another int subclass."""
+
+    @pytest.mark.parametrize("value", [2.0, True, "2", _Two.TWO],
+                             ids=["float", "bool", "str", "int-enum"])
+    @pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+    def test_sites_refuse_what_is_not_an_int(self, site, value):
+        location, call = INTEGER_SITES[site]
+        with pytest.raises(ValidationError) as caught:
+            call(value)
+        assert str(caught.value) == f"{location}: expected an integer"
+
+    def test_an_int_enum_index_is_refused(self):
+        with pytest.raises(ValidationError) as caught:
+            basic("p", [[1]], _Two.TWO)
+        assert str(caught.value) == "/index: expected an integer"
 
 
 class TestCompanionRemark:

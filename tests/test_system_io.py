@@ -195,6 +195,8 @@ FORGED = "x\n   forged line"     # would forge a line of a text report
 VIOLATIONS = {
     "negative-index": (_one_set(index=-1), "/basic_sets/0/index",
                        lambda: _basic(index=-1), "/index"),
+    "index-type": (_one_set(index=1.5), "/basic_sets/0/index",
+                   lambda: _basic(index=1.5), "/index"),
     "name-not-text": (_one_set(name=3), "/basic_sets/0/name",
                       lambda: _basic(3), "/name"),
     "empty-name": (_one_set(name=""), "/basic_sets/0/name",
@@ -230,6 +232,8 @@ VIOLATIONS = {
     "negative-dim": ({"basic_sets": [], "ambient": {"dim": -1}},
                      "/ambient/dim", lambda: SystemSpec((), -1),
                      "/ambient/dim"),
+    "dim-type": ({"basic_sets": [], "ambient": {"dim": 2.5}},
+                 "/ambient/dim", lambda: SystemSpec((), 2.5), "/ambient/dim"),
     "degree-above-dim": (_ambient(homology_maps={"3": [[1]]}),
                          "/ambient/homology_maps/3",
                          lambda: SystemSpec(
@@ -241,6 +245,9 @@ VIOLATIONS = {
     "negative-split": (_ambient(split_at=-1), "/ambient/split_at",
                        lambda: SystemSpec((), 2, split_at=-1),
                        "/ambient/split_at"),
+    "split-type": (_ambient(split_at=1.5), "/ambient/split_at",
+                   lambda: SystemSpec((), 2, split_at=1.5),
+                   "/ambient/split_at"),
 }
 
 

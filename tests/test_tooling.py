@@ -157,6 +157,30 @@ def test_only_linalg_defines_the_elimination():
     assert defining == {name: ["linalg.py"] for name in ELIMINATION}
 
 
+def test_one_function_checks_that_a_value_is_an_integer():
+    # "Is this an integer" has one check with one meaning, a plain int:
+    # dynamics._require_int raises its message, and system_io, which reads
+    # the file's values, calls it and tests no value against int itself;
+    # its one use of int converts a homology-map degree key.
+    package = (pathlib.Path(__file__).resolve().parent.parent
+               / "src" / "conley")
+    raising = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(
+                    isinstance(node, ast.Constant)
+                    and node.value == "expected an integer"
+                    for node in ast.walk(func)):
+                raising.add((path.name, func.name))
+    assert raising == {("dynamics.py", "_require_int")}
+    tree = ast.parse((package / "system_io.py").read_text(encoding="utf-8"))
+    called = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    assert all(id(node) in called for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and node.id == "int")
+
+
 PUBLIC_API = [
     "BasicSetSpec", "ConleyError", "ConleyIndex", "DomainError",
     "EigenClass", "IndexEntry", "InducedMap", "IntPolynomial",
